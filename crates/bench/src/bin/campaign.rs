@@ -18,8 +18,6 @@
 //!     [--manifest f] [--tolerance 0.75] [--report out.json] [duration_ms]
 //! cargo run --release -p hpcc-bench --bin campaign -- --fluid-bench [out.json] \
 //!     [--min-fluid-speedup 100]
-//! cargo run --release -p hpcc-bench --bin campaign -- --scaling-curve [out.json] \
-//!     [--scaling-threads 1,2,4,8] [--verify-digest] [--min-parallel-speedup 1.6]
 //! cargo run --release -p hpcc-bench --bin campaign -- --shards N \
 //!     [--verify-serial] [--report out.json] [--manifest f] [duration_ms] [load]
 //! cargo run --release -p hpcc-bench --bin campaign -- --worker-shard i/N \
@@ -62,20 +60,6 @@
 //!   equivalent) to `BENCH_fluid.json` (or the given path); with
 //!   `--min-fluid-speedup X` it exits non-zero when the fluid backend is
 //!   less than `X` times faster than the packet engine.
-//!
-//! Parallel-engine scaling suite (see `hpcc_sim::parallel`):
-//!
-//! * `--scaling-curve` — run the fixed scaling scenarios (two fat-tree
-//!   sizes, frozen workload) on the parallel partitioned engine at each
-//!   thread count in `--scaling-threads` (default `1,2,4,8`) and write the
-//!   events/sec curve to `BENCH_scaling.json` (or the given path). The file
-//!   records the host's core count next to every number: speedups are only
-//!   meaningful when `cores >= threads`. `--verify-digest` additionally
-//!   runs the sequential engine on every scenario and exits non-zero unless
-//!   each parallel output digest is bit-identical to it (the CI smoke
-//!   configuration); `--min-parallel-speedup X` exits non-zero when the
-//!   best measured speedup at the highest thread count is below `X`
-//!   (intended for multi-core perf machines, not the digest smoke).
 //!
 //! Distributed modes (see `hpcc_core::wire` for the JSONL schema and the
 //! determinism contract):
@@ -430,10 +414,6 @@ struct Cli {
     tolerance: f64,
     fluid_bench: Option<Option<String>>,
     min_fluid_speedup: Option<f64>,
-    scaling_curve: Option<Option<String>>,
-    scaling_threads: Option<Vec<u32>>,
-    verify_digest: bool,
-    min_parallel_speedup: Option<f64>,
     serve: Option<String>,
     join: Option<String>,
     spawn_workers: usize,
@@ -546,53 +526,6 @@ impl Cli {
                             i += 1;
                         }
                     }
-                }
-                "--scaling-curve" => {
-                    // Optional output path, like --events-per-sec.
-                    match args.get(i + 1) {
-                        Some(next) if !next.starts_with("--") => {
-                            cli.scaling_curve = Some(Some(next.clone()));
-                            i += 2;
-                        }
-                        _ => {
-                            cli.scaling_curve = Some(None);
-                            i += 1;
-                        }
-                    }
-                }
-                "--scaling-threads" => {
-                    let list = value(i, "--scaling-threads");
-                    let threads: Vec<u32> = list
-                        .split(',')
-                        .map(|t| {
-                            t.trim()
-                                .parse()
-                                .ok()
-                                .filter(|n| *n >= 1)
-                                .unwrap_or_else(|| {
-                                    die(format!("bad thread count {t:?} in {list:?}"))
-                                })
-                        })
-                        .collect();
-                    if threads.is_empty() {
-                        die(format!("empty thread list {list:?}"));
-                    }
-                    cli.scaling_threads = Some(threads);
-                    i += 2;
-                }
-                "--verify-digest" => {
-                    cli.verify_digest = true;
-                    i += 1;
-                }
-                "--min-parallel-speedup" => {
-                    let f = value(i, "--min-parallel-speedup");
-                    cli.min_parallel_speedup = Some(
-                        f.parse()
-                            .ok()
-                            .filter(|x: &f64| x.is_finite() && *x > 0.0)
-                            .unwrap_or_else(|| die(format!("bad speedup floor {f:?}"))),
-                    );
-                    i += 2;
                 }
                 "--baseline" => {
                     cli.baseline = Some(value(i, "--baseline"));
@@ -827,165 +760,6 @@ fn run_fluid_bench(specs: &[ScenarioSpec], out_path: &str, min_speedup: Option<f
             ));
         }
         println!("fluid speedup gate: OK ({speedup:.1}x >= {floor}x)");
-    }
-}
-
-/// The frozen scaling-suite scenarios: the fat-tree sizes the curve sweeps
-/// (label, topology parameters, horizon). Like the hot-path smoke, the
-/// workload must never move or the numbers stop being comparable over time.
-fn scaling_scenarios() -> Vec<(&'static str, FatTreeParams, Duration)> {
-    let medium = FatTreeParams {
-        pods: 3,
-        tors_per_pod: 3,
-        aggs_per_pod: 3,
-        cores: 6,
-        hosts_per_tor: 6,
-        ..FatTreeParams::small()
-    };
-    vec![
-        (
-            "fat-tree-small",
-            FatTreeParams::small(),
-            Duration::from_ms(2),
-        ),
-        ("fat-tree-medium", medium, Duration::from_ms(1)),
-    ]
-}
-
-/// Scaling-curve mode: run the frozen scaling scenarios on the parallel
-/// partitioned engine at each requested thread count and write the
-/// events/sec curve as JSON for CI trend tracking. The host's core count is
-/// recorded next to every number — a speedup measured with fewer cores than
-/// threads says nothing about the engine. With `verify_digest`, every
-/// parallel output must be bit-identical (by campaign digest) to the
-/// sequential engine on the same scenario.
-fn run_scaling_curve(
-    out_path: &str,
-    threads_list: &[u32],
-    verify_digest: bool,
-    min_speedup: Option<f64>,
-) {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads_csv = threads_list
-        .iter()
-        .map(|t| t.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
-    println!(
-        "== scaling curve: threads [{threads_csv}] on {cores} core(s), \
-         digest verification {} ==",
-        if verify_digest { "on" } else { "off" }
-    );
-    let mut blocks = Vec::new();
-    let mut best: Option<(f64, u32, &'static str)> = None;
-    for (label, params, duration) in scaling_scenarios() {
-        let spec = fattree_fb_hadoop(
-            format!("scaling {label}"),
-            CcSpec::by_label("HPCC"),
-            params,
-            0.5,
-            duration,
-            true,
-            FlowControlMode::Lossless,
-            42,
-        );
-        let topo = hpcc_topology::fat_tree(params);
-        let (hosts, switches) = (topo.hosts().len(), topo.switches().len());
-        // Sequential reference: the digest every parallel run must hit,
-        // and the warm-up (page cache, allocator pools) for the timed runs.
-        let reference = spec.build().run();
-        let ref_digest = digest_output(&reference.out);
-        let mut points = Vec::new();
-        let mut curve: Vec<(u32, f64)> = Vec::new();
-        for &t in threads_list {
-            let shards = hpcc_sim::plan_shards(&topo, t).parts;
-            let pspec = spec
-                .clone()
-                .with_backend(BackendSpec::ParallelPacket { threads: t });
-            let started = Instant::now();
-            let results = pspec.build().run();
-            let wall = started.elapsed();
-            let out = &results.out;
-            let digest = digest_output(out);
-            if verify_digest && digest != ref_digest {
-                die(format!(
-                    "scaling {label}: parallel digest {digest:016x} at {t} thread(s) \
-                     differs from sequential {ref_digest:016x}"
-                ));
-            }
-            let eps = out.events_processed as f64 / wall.as_secs_f64().max(1e-9);
-            curve.push((t, eps));
-            println!(
-                "scaling {label}: {t} thread(s) -> {shards} shard(s), \
-                 {eps:.0} events/sec, digest {digest:016x}"
-            );
-            points.push(format!(
-                "        {{\"threads\": {t}, \"shards\": {shards}, \"events_processed\": {}, \
-                 \"wall_seconds\": {:.6}, \"events_per_sec\": {eps:.0}, \
-                 \"digest\": \"{digest:016x}\"}}",
-                out.events_processed,
-                wall.as_secs_f64(),
-            ));
-        }
-        // Speedup of the highest thread count over the single-thread point
-        // of the same curve (absent when the list has no 1 to compare to).
-        let base = curve.iter().find(|(t, _)| *t == 1).map(|&(_, e)| e);
-        let top = curve.iter().max_by_key(|(t, _)| *t).copied();
-        let speedup = match (base, top) {
-            (Some(b), Some((t, e))) if t > 1 && b > 0.0 => Some((e / b, t)),
-            _ => None,
-        };
-        if let Some((s, t)) = speedup {
-            println!("scaling {label}: {s:.2}x at {t} threads vs 1");
-            if best.map(|(b, _, _)| s > b).unwrap_or(true) {
-                best = Some((s, t, label));
-            }
-        }
-        blocks.push(format!(
-            "    {{\n      \"topology\": \"{label}\",\n      \"hosts\": {hosts},\n      \
-             \"switches\": {switches},\n      \"duration_ms\": {},\n      \"points\": [\n{}\n      ],\n      \
-             \"speedup_at_max_threads\": {}\n    }}",
-            duration.as_ps() / 1_000_000_000,
-            points.join(",\n"),
-            match speedup {
-                Some((s, _)) => format!("{s:.3}"),
-                None => "null".to_string(),
-            },
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"scaling-curve\",\n  \"cores\": {cores},\n  \"threads\": [{threads_csv}],\n  \
-         \"verified_digest\": {verify_digest},\n  \"sizes\": [\n{}\n  ],\n  \
-         \"note\": \"events/sec of the parallel partitioned engine on the frozen scaling \
-         scenarios; wall times and speedups are host-dependent and only meaningful when \
-         cores >= threads (cores is recorded above); digests pin the deterministic part\"\n}}\n",
-        blocks.join(",\n"),
-    );
-    std::fs::write(out_path, &json)
-        .unwrap_or_else(|e| die(format!("cannot write {out_path}: {e}")));
-    println!("{json}");
-    println!("wrote {out_path}");
-    if verify_digest {
-        println!("scaling digest verification: OK (all thread counts bit-identical to sequential)");
-    }
-    if let Some(floor) = min_speedup {
-        match best {
-            Some((s, t, label)) if s >= floor => {
-                println!(
-                    "parallel speedup gate: OK ({s:.2}x at {t} threads on {label} >= {floor}x)"
-                )
-            }
-            Some((s, t, label)) => die(format!(
-                "parallel speedup {s:.2}x at {t} threads on {label} is below the required \
-                 {floor}x (host has {cores} core(s))"
-            )),
-            None => die(
-                "no speedup measurable: --min-parallel-speedup needs --scaling-threads \
-                 to include 1 and a count > 1",
-            ),
-        }
     }
 }
 
@@ -1334,19 +1108,6 @@ fn main() {
             &cli.grid_specs(10),
             out.as_deref().unwrap_or("BENCH_fluid.json"),
             cli.min_fluid_speedup,
-        );
-        return;
-    }
-    if let Some(out) = &cli.scaling_curve {
-        let threads = cli
-            .scaling_threads
-            .clone()
-            .unwrap_or_else(|| vec![1, 2, 4, 8]);
-        run_scaling_curve(
-            out.as_deref().unwrap_or("BENCH_scaling.json"),
-            &threads,
-            cli.verify_digest,
-            cli.min_parallel_speedup,
         );
         return;
     }

@@ -184,7 +184,7 @@ impl JsonValue {
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return err(format!("trailing data at byte {pos}"));
@@ -232,12 +232,23 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
+/// Deepest object/array nesting [`JsonValue::parse`] accepts; deeper input
+/// is a typed error rather than a stack overflow. The deepest committed
+/// documents nest 5 levels (manifests and wire result lines), a frozen
+/// trace manifest 6, and a fabric manifest frame carrying one 7.
+const MAX_DEPTH: usize = 128;
+
+/// Parse one value nested inside `depth` enclosing objects/arrays.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => err("unexpected end of input"),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(JsonValue::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
@@ -260,7 +271,7 @@ fn parse_literal(
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonError> {
     expect(bytes, pos, b'{')?;
     let mut pairs = Vec::new();
     skip_ws(bytes, pos);
@@ -272,7 +283,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
         skip_ws(bytes, pos);
         let key = parse_string(bytes, pos)?;
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         pairs.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -286,7 +297,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonError> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -295,7 +306,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
         return Ok(JsonValue::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -460,6 +471,23 @@ mod tests {
         for bad in ["", "{", "{\"a\":}", "[1,]", "tru", "\"unterminated", "1 2"] {
             assert!(JsonValue::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_error_not_a_stack_overflow() {
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(JsonValue::parse(&deepest).is_ok());
+        let too_deep = format!("[{deepest}]");
+        let e = JsonValue::parse(&too_deep).expect_err("one level too deep");
+        assert!(e.0.contains("nesting deeper than"), "{e}");
+
+        let hostile = "[".repeat(100_000);
+        let e = JsonValue::parse(&hostile).expect_err("100k nested arrays");
+        assert!(e.0.contains("nesting deeper than"), "{e}");
+        let e = crate::ScenarioSpec::from_json_str(&hostile).expect_err("100k nested arrays");
+        assert!(e.0.contains("nesting deeper than"), "{e}");
+        let mixed = "{\"a\":[".repeat(50_000);
+        assert!(JsonValue::parse(&mixed).is_err());
     }
 
     #[test]

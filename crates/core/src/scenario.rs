@@ -201,14 +201,13 @@ impl TopologyChoice {
 
 /// Which engine answers a scenario, as plain data.
 ///
-/// The JSON form is the optional `"backend"` key: a label string (`"packet"`
-/// | `"fluid"`) or the object form `{"parallel_packet": {"threads": N}}` for
-/// the multi-core engine (see [`crate::wire::backend_to_json`]). An omitted
-/// key is canonical for [`BackendSpec::Packet`] and keeps every pre-existing
+/// The JSON form is the optional `"backend"` label string (`"packet"` |
+/// `"fluid"`, see [`crate::wire::backend_to_json`]). An omitted key is
+/// canonical for [`BackendSpec::Packet`] and keeps every pre-existing
 /// manifest bit-identical. Fluid is a steady-state model: scenarios
 /// combining it with features it cannot answer (fault injection,
 /// multi-class/PIAS queueing) are rejected with a typed [`BuildError`] at
-/// `try_build` time, as is a parallel backend with zero threads.
+/// `try_build` time.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BackendSpec {
     /// The packet-level event-wheel engine (the default, and the reference).
@@ -216,18 +215,10 @@ pub enum BackendSpec {
     Packet,
     /// The Appendix A.2 fluid-model fast path.
     Fluid,
-    /// The parallel partitioned packet engine: `threads` shard threads over
-    /// a conservative-lookahead partition, bit-identical to
-    /// [`Packet`](BackendSpec::Packet).
-    ParallelPacket {
-        /// Worker threads (must be ≥ 1; the partitioner clamps to the
-        /// switch count, and 1 collapses to the sequential engine).
-        threads: u32,
-    },
 }
 
 impl BackendSpec {
-    /// The wire label ("packet" / "fluid" / "parallel_packet").
+    /// The wire label ("packet" / "fluid").
     pub fn label(self) -> &'static str {
         self.kind().label()
     }
@@ -237,22 +228,14 @@ impl BackendSpec {
         match self {
             BackendSpec::Packet => BackendKind::Packet,
             BackendSpec::Fluid => BackendKind::Fluid,
-            BackendSpec::ParallelPacket { threads } => BackendKind::ParallelPacket { threads },
         }
     }
 
-    /// Parse a wire label. The parallel engine has no bare-label form — it
-    /// needs its thread count — so `"parallel_packet"` here points at the
-    /// object form instead of decoding.
+    /// Parse a wire label.
     pub fn from_label(label: &str) -> Result<Self, JsonError> {
         match label {
             "packet" => Ok(BackendSpec::Packet),
             "fluid" => Ok(BackendSpec::Fluid),
-            "parallel_packet" => Err(JsonError(
-                "backend \"parallel_packet\" needs a thread count; write \
-                 {\"parallel_packet\": {\"threads\": N}}"
-                    .into(),
-            )),
             other => Err(JsonError(format!("unknown backend {other:?}"))),
         }
     }
@@ -1075,14 +1058,6 @@ impl ScenarioSpec {
                     ));
                 }
             }
-        }
-        if let BackendSpec::ParallelPacket { threads: 0 } = self.backend {
-            return Err(BuildError(
-                "the parallel_packet backend needs at least one worker thread \
-                 (got \"threads\": 0); use \"threads\": 1 or more, or drop \
-                 \"backend\" for the sequential engine"
-                    .into(),
-            ));
         }
         let topo = self.topology.try_build()?;
         let host_bw = self.topology.host_bw();

@@ -99,47 +99,23 @@ fn opt_u64_from_json(v: &JsonValue) -> Result<Option<u64>, JsonError> {
 }
 
 /// Canonical JSON for a backend choice, shared by scenario specs and
-/// result lines. `None` for the default packet engine — its canonical form
-/// is an *omitted* `"backend"` key, keeping pre-existing manifests
-/// bit-identical. The fluid engine stays the bare label string; the
-/// parallel engine carries its thread count as a nested object:
-/// `{"parallel_packet": {"threads": 4}}`.
+/// result lines: the bare label string. `None` for the default packet
+/// engine — its canonical form is an *omitted* `"backend"` key, keeping
+/// pre-existing manifests bit-identical.
 pub fn backend_to_json(backend: BackendSpec) -> Option<JsonValue> {
     match backend {
         BackendSpec::Packet => None,
         BackendSpec::Fluid => Some(JsonValue::Str(backend.label().to_string())),
-        BackendSpec::ParallelPacket { threads } => Some(obj(vec![(
-            "parallel_packet",
-            obj(vec![("threads", JsonValue::UInt(threads as u64))]),
-        )])),
     }
 }
 
-/// Decode a `"backend"` value: either a bare label string (resolved via
-/// [`BackendSpec::from_label`]) or the single-key object form holding the
-/// parallel engine's thread count. Extra keys alongside `"parallel_packet"`
-/// are conflicting backend selections and rejected.
+/// Decode a `"backend"` label via [`BackendSpec::from_label`]. A value that
+/// is not a label string is an unknown backend, named in the error.
 pub fn backend_from_json(v: &JsonValue) -> Result<BackendSpec, JsonError> {
-    if let JsonValue::Str(label) = v {
-        return BackendSpec::from_label(label);
+    match v {
+        JsonValue::Str(label) => BackendSpec::from_label(label),
+        other => err(format!("unknown backend {}", other.render())),
     }
-    let pairs = match v {
-        JsonValue::Object(pairs) => pairs,
-        other => return err(format!("expected backend label or object, got {other:?}")),
-    };
-    if let Some((key, _)) = pairs.iter().find(|(k, _)| k != "parallel_packet") {
-        return err(format!("conflicting backend key {key:?}"));
-    }
-    let p = v
-        .get("parallel_packet")
-        .ok_or_else(|| JsonError("backend object missing \"parallel_packet\"".into()))?;
-    let threads = p.require("threads")?.as_u64()?;
-    if threads > u32::MAX as u64 {
-        return err(format!("parallel_packet threads {threads} out of range"));
-    }
-    Ok(BackendSpec::ParallelPacket {
-        threads: threads as u32,
-    })
 }
 
 /// Recover the `&'static` bucket from the known bucket tables. Campaign
@@ -705,19 +681,36 @@ pub fn write_frame<W: std::io::Write>(w: &mut W, msg: &FabricMsg) -> std::io::Re
 }
 
 /// Read one length-framed fabric message. Returns `Ok(None)` on a clean
-/// EOF at a frame boundary; EOF inside a frame, a malformed length header,
-/// or an undecodable payload are `InvalidData` errors.
+/// EOF at a frame boundary; a malformed or over-long length header and an
+/// undecodable payload are `InvalidData` errors, EOF inside a frame is
+/// `UnexpectedEof`. Memory tracks the bytes that actually arrive, never the
+/// length a peer claims.
 pub fn read_frame<R: std::io::BufRead>(r: &mut R) -> std::io::Result<Option<FabricMsg>> {
-    let mut header = String::new();
-    if r.read_line(&mut header)? == 0 {
+    use std::io::{BufRead as _, Read as _};
+    // A u64 length is at most 20 digits, plus the newline.
+    let mut header = Vec::new();
+    if r.by_ref().take(21).read_until(b'\n', &mut header)? == 0 {
         return Ok(None);
     }
-    let len: usize = header
-        .trim()
-        .parse()
-        .map_err(|_| bad_frame(format!("malformed frame header {}", header.trim())))?;
-    let mut payload = vec![0u8; len + 1];
-    r.read_exact(&mut payload)?;
+    let len: u64 = std::str::from_utf8(&header)
+        .ok()
+        .filter(|h| h.ends_with('\n'))
+        .and_then(|h| h.trim().parse().ok())
+        .ok_or_else(|| {
+            bad_frame(format!(
+                "malformed frame header {}",
+                String::from_utf8_lossy(&header).trim()
+            ))
+        })?;
+    let framed = len.saturating_add(1);
+    let mut payload = Vec::new();
+    r.take(framed).read_to_end(&mut payload)?;
+    if payload.len() as u64 != framed {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("frame cut after {} of {len} payload bytes", payload.len()),
+        ));
+    }
     if payload.pop() != Some(b'\n') {
         return Err(bad_frame("frame payload is not newline-terminated"));
     }
@@ -1038,6 +1031,29 @@ mod tests {
             let mut reader = std::io::BufReader::new(broken.as_bytes());
             assert!(read_frame(&mut reader).is_err(), "{broken}");
         }
+    }
+
+    #[test]
+    fn oversize_and_endless_frame_headers_are_typed_errors() {
+        use std::io::ErrorKind;
+        fn kind_of(bytes: impl std::io::Read) -> ErrorKind {
+            match read_frame(&mut std::io::BufReader::new(bytes)) {
+                Err(e) => e.kind(),
+                Ok(_) => panic!("frame must not decode"),
+            }
+        }
+        // A 15-byte frame claiming ~100 TB: nothing arrives, nothing is
+        // allocated up front, and the short read is a typed EOF.
+        assert_eq!(kind_of(&b"99999999999999\n"[..]), ErrorKind::UnexpectedEof);
+        // The largest u64 length still parses, then fails the same way.
+        assert_eq!(
+            kind_of(&b"18446744073709551615\n{}\n"[..]),
+            ErrorKind::UnexpectedEof
+        );
+        // A header that never ends is cut at 21 bytes, not read forever.
+        assert_eq!(kind_of(std::io::repeat(b'9')), ErrorKind::InvalidData);
+        // A header cut by EOF before its newline is malformed.
+        assert_eq!(kind_of(&b"12"[..]), ErrorKind::InvalidData);
     }
 
     #[test]

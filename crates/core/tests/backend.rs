@@ -9,8 +9,8 @@
 
 use hpcc_core::presets::{corpus_sweep, validation_grid, CORPUS_FILES};
 use hpcc_core::{
-    BackendSpec, CcSpec, FaultSpec, QueueingSpec, ScenarioSpec, TopologyChoice, ValidationReport,
-    WorkloadSpec,
+    wire, BackendSpec, Campaign, CcSpec, FaultSpec, QueueingSpec, ScenarioSpec, TopologyChoice,
+    ValidationReport, WorkloadSpec,
 };
 use hpcc_sim::StragglerHost;
 use hpcc_types::{Bandwidth, Duration};
@@ -57,6 +57,35 @@ fn unknown_backend_labels_are_rejected() {
     );
     let err = ScenarioSpec::from_json_str(&text).expect_err("unknown backend must fail");
     assert!(format!("{err}").contains("quantum"), "{err}");
+
+    // Labels and object forms naming no backend fail the same typed way in
+    // a scenario spec, a campaign manifest and a wire result line.
+    let fluid = base_spec().with_backend(BackendSpec::Fluid);
+    let campaign = Campaign::new().with(fluid.clone());
+    let documents = [
+        fluid.to_json_string(),
+        campaign.to_json_string(),
+        wire::encode_result_line(0, &campaign.run_index(0)),
+    ];
+    for bad in [
+        "\"parallel_packet\"",
+        "{\"parallel_packet\":{\"threads\":2}}",
+    ] {
+        let [spec, manifest, line] = documents.clone().map(|doc| {
+            let swapped = doc.replace("\"backend\":\"fluid\"", &format!("\"backend\":{bad}"));
+            assert_ne!(swapped, doc, "the document must carry a backend key");
+            swapped
+        });
+        let errors = [
+            ScenarioSpec::from_json_str(&spec).map(|_| ()),
+            Campaign::from_json_str(&manifest).map(|_| ()),
+            wire::decode_result_line(&line).map(|_| ()),
+        ];
+        for result in errors {
+            let err = result.expect_err("unknown backend must fail");
+            assert!(err.0.contains(&format!("unknown backend {bad}")), "{err}");
+        }
+    }
 }
 
 #[test]

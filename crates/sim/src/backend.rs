@@ -52,36 +52,23 @@ pub enum BackendKind {
     Packet,
     /// The Appendix A.2 fluid-model fast path.
     Fluid,
-    /// The parallel partitioned packet engine
-    /// ([`crate::parallel::ParallelPacketBackend`]): `threads` shard
-    /// threads, bit-identical to [`Packet`](BackendKind::Packet).
-    ParallelPacket {
-        /// Worker threads (the partitioner may clamp; 1 collapses to the
-        /// sequential engine).
-        threads: u32,
-    },
 }
 
 impl BackendKind {
-    /// The backend's short identifier ("packet" / "fluid" /
-    /// "parallel_packet").
+    /// The backend's short identifier ("packet" / "fluid").
     pub fn label(self) -> &'static str {
         match self {
             BackendKind::Packet => "packet",
             BackendKind::Fluid => "fluid",
-            BackendKind::ParallelPacket { .. } => "parallel_packet",
         }
     }
 }
 
 /// Resolve a [`BackendKind`] to its engine.
-pub fn backend_for(kind: BackendKind) -> Box<dyn Backend> {
+pub fn backend_for(kind: BackendKind) -> &'static dyn Backend {
     match kind {
-        BackendKind::Packet => Box::new(PacketBackend),
-        BackendKind::Fluid => Box::new(crate::fluid::FluidBackend),
-        BackendKind::ParallelPacket { threads } => {
-            Box::new(crate::parallel::ParallelPacketBackend { threads })
-        }
+        BackendKind::Packet => &PacketBackend,
+        BackendKind::Fluid => &crate::fluid::FluidBackend,
     }
 }
 
@@ -111,11 +98,7 @@ mod tests {
     #[test]
     fn kinds_resolve_to_matching_backends() {
         assert_eq!(BackendKind::default(), BackendKind::Packet);
-        for kind in [
-            BackendKind::Packet,
-            BackendKind::Fluid,
-            BackendKind::ParallelPacket { threads: 2 },
-        ] {
+        for kind in [BackendKind::Packet, BackendKind::Fluid] {
             assert_eq!(backend_for(kind).name(), kind.label());
         }
     }

@@ -31,8 +31,6 @@ pub mod fault;
 pub mod fluid;
 pub mod host;
 pub mod output;
-pub mod parallel;
-pub mod partition;
 pub mod rng;
 pub mod sched;
 pub mod switch;
@@ -45,6 +43,4 @@ pub use engine::Event;
 pub use fault::{DegradedLink, FaultConfig, FaultTimeline, LinkDownMode, LinkFault, StragglerHost};
 pub use fluid::{ai_equilibrium_rate, ai_equilibrium_utilization, FluidBackend, FluidNetwork};
 pub use output::{FlowRecord, PortKey, SimOutput};
-pub use parallel::{run_parallel, ParallelPacketBackend};
-pub use partition::{plan_shards, ShardLayout};
 pub use simulator::Simulator;
