@@ -1,5 +1,5 @@
-//! Campaign wall-clock benchmark, manifest runner and multi-process
-//! sharded-campaign coordinator.
+//! Campaign wall-clock benchmark, manifest runner and elastic-fabric
+//! coordinator/worker.
 //!
 //! With no arguments, builds the Figure 11 scheme set (six scenarios on the
 //! scaled-down Clos fabric), runs it serially and then in parallel, verifies
@@ -18,10 +18,6 @@
 //!     [--manifest f] [--tolerance 0.75] [--report out.json] [duration_ms]
 //! cargo run --release -p hpcc-bench --bin campaign -- --fluid-bench [out.json] \
 //!     [--min-fluid-speedup 100]
-//! cargo run --release -p hpcc-bench --bin campaign -- --shards N \
-//!     [--verify-serial] [--report out.json] [--manifest f] [duration_ms] [load]
-//! cargo run --release -p hpcc-bench --bin campaign -- --worker-shard i/N \
-//!     [--manifest f] [duration_ms] [load]
 //! cargo run --release -p hpcc-bench --bin campaign -- --merge a.jsonl b.jsonl ... \
 //!     [--expect N | --manifest f] [--report out.json]
 //! cargo run --release -p hpcc-bench --bin campaign -- --serve ADDR \
@@ -61,32 +57,13 @@
 //!   `--min-fluid-speedup X` it exits non-zero when the fluid backend is
 //!   less than `X` times faster than the packet engine.
 //!
-//! Distributed modes (see `hpcc_core::wire` for the JSONL schema and the
-//! determinism contract):
-//!
-//! * `--shards N` — coordinator: re-spawns this binary as `N` worker
-//!   subprocesses (`--worker-shard i/N` each, same campaign arguments),
-//!   reads their JSONL stdout streams, and merges them into one report in
-//!   scenario order. `--verify-serial` additionally runs the campaign
-//!   serially in-process and exits non-zero unless digests and canonical
-//!   report JSON are bit-identical. `--report` writes the merged canonical
-//!   JSON to a file.
-//! * `--worker-shard i/N` — worker: runs the round-robin shard `i` of `N`
-//!   and streams one JSONL line per completed scenario on stdout (all
-//!   diagnostics go to stderr, so stdout is pure JSONL and can be piped or
-//!   redirected to a file on a remote host).
-//! * `--merge` — fold JSONL files produced elsewhere (e.g. workers on other
-//!   hosts) into one report. Pass `--expect N` (or `--manifest`, whose
-//!   scenario count is used) so a shard file truncated at its tail cannot
-//!   slip through as a shorter-but-valid report.
-//!
-//! Elastic fabric modes (see `hpcc_core::fabric` and `docs/WIRE.md` for the
-//! framed TCP protocol):
+//! Distributed modes (see `hpcc_core::fabric` and `docs/WIRE.md` for the
+//! framed TCP protocol and the JSONL result lines):
 //!
 //! * `--serve ADDR` — fabric coordinator: bind ADDR (use port 0 for an
 //!   ephemeral port; the bound address is printed), serve the campaign's
 //!   scenario indices as a dynamic work queue to any workers that join, and
-//!   merge streamed results into one report. Unlike `--shards`, workers may
+//!   merge streamed results into one report in scenario order. Workers may
 //!   join late, die mid-lease (their work is reassigned) and deliver
 //!   duplicates (deduplicated by digest). `--spawn-workers N` launches N
 //!   local `--join` subprocesses; `--chaos-kill-at F` SIGKILLs the first
@@ -94,12 +71,19 @@
 //!   self-test of fault tolerance); `--checkpoint FILE` appends each
 //!   accepted result to a JSONL file and replays it on restart so finished
 //!   scenarios are never re-run; `--lease-timeout-ms` tunes failure
-//!   detection. `--verify-serial` and `--report` behave as for `--shards`.
+//!   detection. `--verify-serial` additionally runs the campaign serially
+//!   in-process and exits non-zero unless digests and canonical report JSON
+//!   are bit-identical; `--report` writes the merged canonical JSON to a
+//!   file.
 //! * `--join ADDR` — fabric worker: connect to a coordinator, receive the
 //!   campaign manifest over the wire (no local campaign arguments needed),
 //!   lease scenario batches and stream results until told to stop.
 //!   `--hang-after N` / `--quit-after N` inject worker failures for chaos
 //!   tests.
+//! * `--merge` — fold JSONL result files (a fabric checkpoint, say) into one
+//!   report. Pass `--expect N` (or `--manifest`, whose scenario count is
+//!   used) so a file truncated at its tail cannot slip through as a
+//!   shorter-but-valid report.
 //! * `--dump-fabric-manifest` — print the committed fabric smoke campaign
 //!   (`manifests/fabric_smoke.json`).
 
@@ -109,13 +93,12 @@ use hpcc_core::presets::{
     corpus_sweep, fabric_smoke_campaign, fattree_fb_hadoop, fig11_campaign, validation_grid,
     CORPUS_FILES,
 };
-use hpcc_core::{wire, BackendSpec, Campaign, CcSpec, ScenarioSpec, ShardPlan, ValidationReport};
+use hpcc_core::{wire, BackendSpec, Campaign, CcSpec, ScenarioSpec, ValidationReport};
 use hpcc_sim::FlowControlMode;
 use hpcc_topology::FatTreeParams;
 use hpcc_types::Bandwidth;
 use hpcc_types::Duration;
 use std::hint::black_box;
-use std::io::Read as _;
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -386,8 +369,7 @@ fn run_bench() {
     }
 }
 
-/// Exit with a usage/runtime error on stderr (workers keep stdout pure
-/// JSONL, so nothing diagnostic may ever go there).
+/// Exit with a usage/runtime error (status 2) on stderr.
 fn die(msg: impl AsRef<str>) -> ! {
     eprintln!("campaign: {}", msg.as_ref());
     std::process::exit(2);
@@ -398,8 +380,6 @@ fn die(msg: impl AsRef<str>) -> ! {
 #[derive(Default)]
 struct Cli {
     manifest: Option<String>,
-    shards: Option<usize>,
-    worker_shard: Option<ShardPlan>,
     report: Option<String>,
     merge: Vec<String>,
     expect: Option<usize>,
@@ -450,21 +430,6 @@ impl Cli {
             match args[i].as_str() {
                 "--manifest" => {
                     cli.manifest = Some(value(i, "--manifest"));
-                    i += 2;
-                }
-                "--shards" => {
-                    let n = value(i, "--shards");
-                    cli.shards = Some(
-                        n.parse()
-                            .ok()
-                            .filter(|n| *n >= 1)
-                            .unwrap_or_else(|| die(format!("bad shard count {n:?}"))),
-                    );
-                    i += 2;
-                }
-                "--worker-shard" => {
-                    let spec = value(i, "--worker-shard");
-                    cli.worker_shard = Some(ShardPlan::parse(&spec).unwrap_or_else(|e| die(e)));
                     i += 2;
                 }
                 "--report" => {
@@ -670,15 +635,6 @@ impl Cli {
         }
     }
 
-    /// The campaign-selection arguments a worker subprocess needs to build
-    /// the identical campaign.
-    fn campaign_args(&self) -> Vec<String> {
-        match &self.manifest {
-            Some(path) => vec!["--manifest".to_string(), path.clone()],
-            None => self.positional[1..].to_vec(),
-        }
-    }
-
     /// The scenario grid for the cross-validation modes: a `--manifest`
     /// when given, otherwise the built-in validation grid at
     /// `[duration_ms]` (seed 42). The default duration differs by mode:
@@ -763,82 +719,7 @@ fn run_fluid_bench(specs: &[ScenarioSpec], out_path: &str, min_speedup: Option<f
     }
 }
 
-/// Worker mode: run one round-robin shard, streaming JSONL on stdout.
-fn run_worker(campaign: &Campaign, plan: ShardPlan) {
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let started = Instant::now();
-    let executed = campaign
-        .run_shard_streaming(plan, &mut out)
-        .unwrap_or_else(|e| die(format!("shard {}/{}: {e}", plan.shard(), plan.of())));
-    eprintln!(
-        "worker shard {}/{}: {executed} of {} scenarios in {:.2} s",
-        plan.shard(),
-        plan.of(),
-        campaign.len(),
-        started.elapsed().as_secs_f64()
-    );
-}
-
-/// Coordinator mode: spawn one worker subprocess per shard, merge their
-/// JSONL streams, optionally verify against an in-process serial run and
-/// write the canonical report JSON.
-fn run_coordinator(
-    campaign: &Campaign,
-    shards: usize,
-    worker_args: &[String],
-    verify_serial: bool,
-    report_path: Option<&str>,
-) {
-    let exe = std::env::current_exe()
-        .unwrap_or_else(|e| die(format!("cannot locate own executable: {e}")));
-    let started = Instant::now();
-    let mut workers = Vec::new();
-    for shard in 0..shards {
-        let mut child = Command::new(&exe)
-            .arg("--worker-shard")
-            .arg(format!("{shard}/{shards}"))
-            .args(worker_args)
-            .stdout(Stdio::piped())
-            .spawn()
-            .unwrap_or_else(|e| die(format!("cannot spawn worker {shard}: {e}")));
-        // Drain the worker's stdout on its own thread: a pipe left full
-        // would deadlock the worker against our wait().
-        let mut pipe = child.stdout.take().expect("stdout was piped");
-        let reader = std::thread::spawn(move || {
-            let mut text = String::new();
-            pipe.read_to_string(&mut text).map(|_| text)
-        });
-        workers.push((shard, child, reader));
-    }
-    let mut streams = Vec::new();
-    for (shard, mut child, reader) in workers {
-        let status = child
-            .wait()
-            .unwrap_or_else(|e| die(format!("waiting for worker {shard}: {e}")));
-        let text = reader
-            .join()
-            .expect("stdout reader thread panicked")
-            .unwrap_or_else(|e| die(format!("reading worker {shard} stdout: {e}")));
-        if !status.success() {
-            die(format!("worker {shard} exited with {status}"));
-        }
-        streams.push(text);
-    }
-    let mut merged =
-        wire::merge_shard_streams(streams.iter().map(String::as_str), Some(campaign.len()))
-            .unwrap_or_else(|e| die(format!("merging shard streams: {e}")));
-    merged.wall = started.elapsed();
-    println!(
-        "== merged from {} worker process(es) ==\n{}",
-        shards,
-        merged.table()
-    );
-    verify_and_write(&merged, campaign, verify_serial, report_path);
-}
-
-/// The shared tail of every coordinator mode (`--shards`, `--serve`):
-/// optionally prove the merged report bit-identical to an in-process
+/// The tail of the fabric coordinator: optionally prove the merged report bit-identical to an in-process
 /// `run_serial()` (digests and canonical JSON), then optionally write the
 /// canonical report JSON.
 fn verify_and_write(
@@ -878,7 +759,7 @@ const FABRIC_STALL_TIMEOUT: std::time::Duration = std::time::Duration::from_secs
 /// Fabric coordinator mode: serve the campaign's scenario indices over TCP
 /// to elastic workers, optionally spawning local worker subprocesses (and
 /// chaos-killing the first one mid-run), then verify/write the merged
-/// report exactly like `--shards`.
+/// report.
 fn run_serve(campaign: &Campaign, addr: &str, cli: &Cli) {
     let started = Instant::now();
     let coordinator =
@@ -999,8 +880,7 @@ fn run_serve(campaign: &Campaign, addr: &str, cli: &Cli) {
 
 /// Fabric worker mode: join a coordinator, receive the campaign over the
 /// wire and execute leased scenarios until dismissed. All diagnostics go
-/// to stderr (symmetry with `--worker-shard`; results travel over the TCP
-/// connection, not stdout).
+/// to stderr; results travel over the TCP connection, not stdout.
 fn run_join(addr: &str, cli: &Cli) {
     let mut cfg = fabric::WorkerConfig::default();
     if let Some(name) = &cli.worker_name {
@@ -1023,10 +903,10 @@ fn run_join(addr: &str, cli: &Cli) {
     );
 }
 
-/// Merge mode: fold JSONL files produced by workers (possibly on other
-/// hosts) into one report. `expected_len` (from `--expect N`, or the
+/// Merge mode: fold JSONL result files (a fabric checkpoint, or lines
+/// collected from workers on other hosts) into one report. `expected_len` (from `--expect N`, or the
 /// manifest's scenario count when `--manifest` is given) guards against a
-/// truncated or lost shard file: without it, contiguous-from-0 validation
+/// truncated or lost file: without it, contiguous-from-0 validation
 /// cannot notice missing *trailing* scenarios, so the merge warns.
 fn run_merge(files: &[String], expected_len: Option<usize>, report_path: Option<&str>) {
     let texts: Vec<String> = files
@@ -1045,7 +925,7 @@ fn run_merge(files: &[String], expected_len: Option<usize>, report_path: Option<
     );
     if expected_len.is_none() {
         eprintln!(
-            "campaign: warning: no --expect N (or --manifest) given; a shard \
+            "campaign: warning: no --expect N (or --manifest) given; a result \
              file that lost only trailing scenarios cannot be detected"
         );
     }
@@ -1134,20 +1014,6 @@ fn main() {
     }
     if let Some(addr) = &cli.serve {
         run_serve(&campaign, addr, &cli);
-        return;
-    }
-    if let Some(plan) = cli.worker_shard {
-        run_worker(&campaign, plan);
-        return;
-    }
-    if let Some(shards) = cli.shards {
-        run_coordinator(
-            &campaign,
-            shards,
-            &cli.campaign_args(),
-            cli.verify_serial,
-            cli.report.as_deref(),
-        );
         return;
     }
 

@@ -1,8 +1,8 @@
 //! One runner per table / figure of the paper. Every runner returns the
-//! rendered report as a `String`; the `fig*` binaries print it.
+//! rendered report as a `String`; the `figures` binary prints it.
 //!
-//! The default scales are laptop-sized; see EXPERIMENTS.md for the mapping to the
-//! paper's full-scale settings.
+//! The default scales are laptop-sized; each runner's arguments (duration,
+//! load, paper-size fabric) move it toward the paper's full-scale settings.
 
 use hpcc_cc::{HpccConfig, HpccReactionMode};
 use hpcc_core::presets::{

@@ -5,22 +5,17 @@
 //! * [`figures`] — one runner per table/figure of the paper's evaluation
 //!   (§2.3, §3.4, §5.2–§5.4). Each runner builds the corresponding scenario
 //!   from `hpcc-core` presets, runs it and renders the same rows/series the
-//!   paper plots. The binaries in `src/bin/` (`fig01` … `fig14`,
-//!   `tab_int_overhead`, `fluid_convergence`) are thin wrappers that print
-//!   the runner's report.
-//! * The `campaign` binary is the manifest runner and multi-process
-//!   sharded-campaign coordinator; the `trace` binary exports workloads to
-//!   flow-trace files, freezes manifests into trace-replay artifacts and
-//!   inspects/verifies traces (see `hpcc_workload::trace`).
-//! * The Criterion benches in `benches/` measure the engine itself
-//!   (events/sec), the per-ACK cost of every CC algorithm, and miniature
-//!   versions of the figure scenarios so that both performance and *shape*
-//!   regressions are caught by `cargo bench`.
+//!   paper plots. The `figures` binary (`figures <name|all> [args…]`)
+//!   prints one runner's report, or all of them.
+//! * The `campaign` binary is the manifest runner, micro-benchmark suite
+//!   and elastic-fabric coordinator/worker; the `trace` binary exports
+//!   workloads to flow-trace files, freezes manifests into trace-replay
+//!   artifacts and inspects/verifies traces (see `hpcc_workload::trace`).
 //!
 //! Scale: by default every runner uses a laptop-sized configuration (small
 //! fabric, tens of milliseconds). Pass larger durations / the paper fabric
-//! via each runner's arguments (the binaries expose them as CLI arguments)
-//! to approach the paper's scale.
+//! via each runner's arguments (the `figures` binary exposes them as CLI
+//! arguments) to approach the paper's scale.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

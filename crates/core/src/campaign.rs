@@ -6,20 +6,16 @@
 //! collects a [`CampaignReport`] with one [`ScenarioResult`] per scenario,
 //! *in scenario order*.
 //!
-//! Beyond one process, a [`ShardPlan`] deterministically partitions the
-//! campaign into `k` round-robin shards. A worker process executes one shard
-//! with [`Campaign::run_shard_streaming`], emitting each result as a JSONL
-//! line (see [`crate::wire`]) the moment it completes; a coordinator merges
-//! the shard streams back into one report with
-//! [`crate::wire::merge_shard_streams`]. The `campaign` binary in
-//! `hpcc-bench` wires these into `--shards N` / `--worker-shard i/N` /
-//! `--merge` CLI modes.
+//! Beyond one process, the elastic fabric ([`crate::fabric`]) leases
+//! scenario indices to worker processes, each of which executes its share
+//! with [`Campaign::run_index`] and ships every result back as a wire line
+//! (see [`crate::wire`]).
 //!
 //! Determinism is a hard guarantee: every scenario derives all randomness
 //! from its own seed, so the per-scenario results — summarised metrics *and*
 //! the [`ScenarioResult::digest`] over the raw simulator output — are
 //! bit-identical whether the campaign runs serially, on 2 threads, on 64,
-//! or sharded across processes on several hosts.
+//! or spread across processes on several hosts.
 
 use crate::experiment::ExperimentResults;
 use crate::report::truncate;
@@ -146,30 +142,6 @@ impl Campaign {
         self.run_with_threads(cores)
     }
 
-    /// Run the scenarios owned by `plan` on the calling thread, in campaign
-    /// order, writing each [`ScenarioResult`] as one JSONL line (see
-    /// [`crate::wire`]) into `out` the moment it completes. The sink is
-    /// flushed after every line so a coordinator reading a pipe sees
-    /// results as they land. Returns the number of scenarios executed.
-    ///
-    /// Per-scenario seeds and digests depend only on the scenario, never on
-    /// the shard layout, so any `k` shard streams merge back into a report
-    /// bit-identical to [`Campaign::run_serial`].
-    pub fn run_shard_streaming<W: std::io::Write>(
-        &self,
-        plan: ShardPlan,
-        out: &mut W,
-    ) -> std::io::Result<usize> {
-        let mut executed = 0;
-        for i in plan.indices(self.len()) {
-            let result = run_one(&self.scenarios[i]);
-            writeln!(out, "{}", crate::wire::encode_result_line(i, &result))?;
-            out.flush()?;
-            executed += 1;
-        }
-        Ok(executed)
-    }
-
     /// Run the single scenario at `index` on the calling thread — the
     /// fabric's unit of leased work. Seeds and digests depend only on the
     /// scenario spec, so `run_index` on any host reproduces the scenario's
@@ -205,81 +177,6 @@ impl Campaign {
     /// Parse a campaign manifest (a JSON array of scenarios).
     pub fn from_json_str(text: &str) -> Result<Self, crate::json::JsonError> {
         Campaign::from_json(&crate::json::JsonValue::parse(text)?)
-    }
-}
-
-/// A deterministic partition of a campaign into `of` round-robin shards.
-///
-/// Shard `s` of `k` owns every scenario whose index `i` satisfies
-/// `i % k == s`. Round-robin (rather than contiguous ranges) keeps the
-/// shards balanced when a campaign is ordered by scheme or by load, and —
-/// because ownership is a pure function of the scenario *index* — leaves
-/// every per-scenario seed and digest untouched: sharding never changes
-/// what a scenario computes, only where it runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShardPlan {
-    shard: usize,
-    of: usize,
-}
-
-impl ShardPlan {
-    /// Plan for shard `shard` out of `of` total shards.
-    ///
-    /// # Panics
-    /// Panics if `of == 0` or `shard >= of`.
-    pub fn new(shard: usize, of: usize) -> Self {
-        assert!(of >= 1, "a shard plan needs at least one shard");
-        assert!(
-            shard < of,
-            "shard index {shard} out of range for {of} shards"
-        );
-        ShardPlan { shard, of }
-    }
-
-    /// Parse the `i/N` notation of the `--worker-shard` CLI flag
-    /// (0-based: `"0/2"` and `"1/2"` are the two shards of a 2-way split).
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let (shard, of) = text
-            .split_once('/')
-            .ok_or_else(|| format!("shard spec {text:?} is not of the form i/N"))?;
-        let shard: usize = shard
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad shard index in {text:?}"))?;
-        let of: usize = of
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad shard count in {text:?}"))?;
-        if of == 0 {
-            return Err(format!("shard count must be >= 1 in {text:?}"));
-        }
-        if shard >= of {
-            return Err(format!(
-                "shard index {shard} out of range for {of} shards (0-based) in {text:?}"
-            ));
-        }
-        Ok(ShardPlan { shard, of })
-    }
-
-    /// This plan's 0-based shard index.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// Total number of shards in the split.
-    pub fn of(&self) -> usize {
-        self.of
-    }
-
-    /// True if this shard owns scenario index `index`.
-    pub fn owns(&self, index: usize) -> bool {
-        index % self.of == self.shard
-    }
-
-    /// The scenario indices this shard owns in a campaign of `len`
-    /// scenarios, in ascending order.
-    pub fn indices(&self, len: usize) -> impl Iterator<Item = usize> {
-        (self.shard..len).step_by(self.of)
     }
 }
 
@@ -733,41 +630,9 @@ mod tests {
         assert_eq!(text, "[]");
         let back = CampaignReport::from_json_str(&text).unwrap();
         assert!(back.results.is_empty());
-        // Sharding an empty campaign streams nothing and merges to empty.
-        let mut buf = Vec::new();
-        assert_eq!(
-            empty
-                .run_shard_streaming(ShardPlan::new(0, 2), &mut buf)
-                .unwrap(),
-            0
-        );
-        assert!(buf.is_empty());
+        // An empty stream merges to an empty report.
         let merged = crate::wire::merge_shard_streams([""], Some(0)).unwrap();
         assert!(merged.results.is_empty());
-    }
-
-    #[test]
-    fn shard_plans_partition_round_robin() {
-        // 2 shards of 5 scenarios: even and odd indices.
-        let a = ShardPlan::new(0, 2);
-        let b = ShardPlan::new(1, 2);
-        assert_eq!(a.indices(5).collect::<Vec<_>>(), vec![0, 2, 4]);
-        assert_eq!(b.indices(5).collect::<Vec<_>>(), vec![1, 3]);
-        // Every index is owned by exactly one shard, for several k.
-        for k in [1, 2, 3, 7] {
-            for i in 0..20 {
-                let owners = (0..k).filter(|s| ShardPlan::new(*s, k).owns(i)).count();
-                assert_eq!(owners, 1, "index {i} with {k} shards");
-            }
-        }
-        // More shards than scenarios: the excess shards are empty.
-        assert_eq!(ShardPlan::new(6, 7).indices(3).count(), 0);
-        // The i/N CLI notation round-trips; malformed specs are rejected.
-        assert_eq!(ShardPlan::parse("1/2"), Ok(ShardPlan::new(1, 2)));
-        assert_eq!(ShardPlan::parse("0/1"), Ok(ShardPlan::new(0, 1)));
-        for bad in ["", "1", "2/2", "3/2", "1/0", "x/2", "1/y", "-1/2"] {
-            assert!(ShardPlan::parse(bad).is_err(), "{bad:?} should fail");
-        }
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!   ones cannot hold more than one lease's worth of work hostage.
 //! * **Failure detection.** Workers heartbeat between results; a worker
 //!   silent past the lease timeout (or whose connection drops) is retired
-//!   and its outstanding indices return to the queue.
+//!   and its outstanding indices return to the queue. The same timeout
+//!   bounds every socket read, so a peer that connects but never completes
+//!   a hello is dropped too instead of holding a thread and a socket.
 //! * **Dedup by digest.** A retired worker may still have executed part of
 //!   its lease, so results can arrive twice. The [`ResultLedger`] keeps the
 //!   first copy, drops byte-identical duplicates (same index, same digest),
@@ -443,7 +445,8 @@ impl Coordinator {
         let accept_handle = {
             let listener = self.listener.try_clone()?;
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&listener, &shared))
+            let read_timeout = cfg.lease_timeout;
+            std::thread::spawn(move || accept_loop(&listener, &shared, read_timeout))
         };
 
         // Scheduler: detect silent workers, grant leases, wait for events.
@@ -525,8 +528,11 @@ impl Coordinator {
 }
 
 /// Poll the (nonblocking) listener until the run winds down, spawning a
-/// detached reader thread per connection.
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+/// detached reader thread per connection. Every accepted socket reads with
+/// `read_timeout` (the lease timeout): a peer silent that long — registered
+/// worker or not — errors out of `read_frame` and its thread closes the
+/// socket, so no connection outlives the run by more than one timeout.
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, read_timeout: std::time::Duration) {
     loop {
         if shared
             .state
@@ -539,6 +545,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         match listener.accept() {
             Ok((stream, _)) => {
                 let _ = stream.set_nodelay(true);
+                let _ = stream.set_read_timeout(Some(read_timeout));
                 let shared = Arc::clone(shared);
                 std::thread::spawn(move || serve_connection(&shared, stream));
             }

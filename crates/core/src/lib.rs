@@ -13,9 +13,8 @@
 //!   [`ScenarioSpec::freeze`],
 //! * [`campaign`] — the [`Campaign`] runner: execute batches of scenarios
 //!   across OS threads with deterministic, bit-identical-to-serial results,
-//!   and shard them across processes with [`ShardPlan`],
 //! * [`wire`] — the JSONL wire format distributed campaigns stream their
-//!   per-scenario results through, and the shard-stream merge,
+//!   per-scenario results through, and the stream merge,
 //! * [`fabric`] — the elastic cross-host campaign fabric: a TCP
 //!   coordinator serving scenario indices as a dynamic work queue
 //!   (EWMA-sized leases, heartbeat failure detection, digest-deduped
@@ -47,7 +46,7 @@ pub mod timing;
 pub mod validate;
 pub mod wire;
 
-pub use campaign::{Campaign, CampaignReport, FaultSummary, ScenarioResult, ShardPlan};
+pub use campaign::{Campaign, CampaignReport, FaultSummary, ScenarioResult};
 pub use experiment::{Experiment, ExperimentBuilder, ExperimentResults};
 pub use fabric::{
     Coordinator, FabricConfig, FabricError, FabricReport, ResultLedger, WorkerConfig, WorkerSummary,

@@ -1,11 +1,12 @@
 //! The JSONL wire format of distributed campaigns.
 //!
-//! A sharded campaign ships per-scenario results between processes (and
+//! A distributed campaign ships per-scenario results between processes (and
 //! hosts) as JSON Lines: one self-contained object per completed scenario,
-//! written by [`crate::Campaign::run_shard_streaming`] the moment the
-//! scenario finishes and folded back into a single [`CampaignReport`] by
-//! [`merge_shard_streams`]. Everything rides on the in-tree [`crate::json`]
-//! module — no external serde.
+//! written by [`encode_result_line`] the moment a fabric worker finishes the
+//! scenario and folded back into a single [`CampaignReport`] by
+//! [`merge_shard_streams`] (the coordinator's checkpoint and `campaign
+//! --merge` replay the same lines). Everything rides on the in-tree
+//! [`crate::json`] module — no external serde.
 //!
 //! # Line schema
 //!

@@ -21,7 +21,7 @@ use hpcc_core::presets::{
     first_fabric_link, SCHEME_SET_FIG11,
 };
 use hpcc_core::scenario::TopologyChoice;
-use hpcc_core::{Campaign, CampaignReport, CcSpec, FaultSpec, ScenarioSpec, ShardPlan};
+use hpcc_core::{Campaign, CampaignReport, CcSpec, FaultSpec, ScenarioSpec};
 use hpcc_sim::{DegradedLink, FlowControlMode, LinkDownMode, LinkFault, StragglerHost};
 use hpcc_topology::FatTreeParams;
 use hpcc_types::Duration;
@@ -183,14 +183,16 @@ fn faulted_campaign_merges_bit_identical_across_two_shards() {
     let back = Campaign::from_json_str(&campaign.to_json_string()).unwrap();
     assert_eq!(back, campaign);
     let serial = campaign.run_serial();
-    let mut streams = Vec::new();
-    for shard in 0..2 {
-        let mut buf = Vec::new();
-        campaign
-            .run_shard_streaming(ShardPlan::new(shard, 2), &mut buf)
-            .unwrap();
-        streams.push(String::from_utf8(buf).unwrap());
-    }
+    // Two streams of per-index result lines, as two fabric workers ship
+    // them.
+    let streams: Vec<String> = (0..2)
+        .map(|s| {
+            (0..campaign.len())
+                .filter(|i| i % 2 == s)
+                .map(|i| hpcc_core::wire::encode_result_line(i, &campaign.run_index(i)) + "\n")
+                .collect()
+        })
+        .collect();
     let merged = hpcc_core::wire::merge_shard_streams(
         streams.iter().map(String::as_str),
         Some(campaign.len()),

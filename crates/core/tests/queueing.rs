@@ -22,7 +22,7 @@ use hpcc_core::presets::{
     fattree_skew_sweep, incast_on_star, long_short, pfc_storm, priority_mix, testbed_websearch,
     testbed_with_cdf, two_to_one,
 };
-use hpcc_core::{Campaign, CampaignReport, CcSpec, CdfSpec, QueueingSpec, ScenarioSpec, ShardPlan};
+use hpcc_core::{Campaign, CampaignReport, CcSpec, CdfSpec, QueueingSpec, ScenarioSpec};
 use hpcc_sim::FlowControlMode;
 use hpcc_topology::FatTreeParams;
 use hpcc_types::{Bandwidth, Duration};
@@ -249,14 +249,16 @@ fn queueing_sweep_merges_bit_identical_across_two_shards() {
     let back = Campaign::from_json_str(&campaign.to_json_string()).unwrap();
     assert_eq!(back, campaign);
     let serial = campaign.run_serial();
-    let mut streams = Vec::new();
-    for shard in 0..2 {
-        let mut buf = Vec::new();
-        campaign
-            .run_shard_streaming(ShardPlan::new(shard, 2), &mut buf)
-            .unwrap();
-        streams.push(String::from_utf8(buf).unwrap());
-    }
+    // Two streams of per-index result lines, as two fabric workers ship
+    // them.
+    let streams: Vec<String> = (0..2)
+        .map(|s| {
+            (0..campaign.len())
+                .filter(|i| i % 2 == s)
+                .map(|i| hpcc_core::wire::encode_result_line(i, &campaign.run_index(i)) + "\n")
+                .collect()
+        })
+        .collect();
     let merged = hpcc_core::wire::merge_shard_streams(
         streams.iter().map(String::as_str),
         Some(campaign.len()),

@@ -7,7 +7,7 @@
 //!   the original campaign digests — through a file on disk as well as
 //!   through inline manifest records.
 
-use hpcc_core::campaign::{Campaign, ShardPlan};
+use hpcc_core::campaign::Campaign;
 use hpcc_core::presets::{fattree_locality_sweep, fattree_skew_sweep, trace_replay};
 use hpcc_core::{wire, CcSpec, CdfSpec, ScenarioSpec, TopologyChoice, WorkloadSpec};
 use hpcc_topology::FatTreeParams;
@@ -68,16 +68,18 @@ fn mixed_campaign_manifest_round_trips_and_shards_merge_bit_identically() {
     let back = Campaign::from_json_str(&manifest).unwrap();
     assert_eq!(back, campaign);
 
-    // Two shard streams, exactly as `campaign --shards 2` runs them, must
-    // merge into a report bit-identical to the serial reference.
+    // Two streams of per-index result lines, exactly as two fabric workers
+    // ship them, must merge into a report bit-identical to the serial
+    // reference.
     let serial = campaign.run_serial();
-    let mut streams = Vec::new();
-    for shard in 0..2 {
-        let mut buf = Vec::new();
-        back.run_shard_streaming(ShardPlan::new(shard, 2), &mut buf)
-            .unwrap();
-        streams.push(String::from_utf8(buf).unwrap());
-    }
+    let streams: Vec<String> = (0..2)
+        .map(|s| {
+            (0..back.len())
+                .filter(|i| i % 2 == s)
+                .map(|i| wire::encode_result_line(i, &back.run_index(i)) + "\n")
+                .collect()
+        })
+        .collect();
     let merged =
         wire::merge_shard_streams(streams.iter().map(String::as_str), Some(campaign.len()))
             .unwrap();

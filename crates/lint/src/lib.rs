@@ -3,7 +3,7 @@
 //! The in-tree determinism and wire-contract static-analysis pass of the
 //! HPCC reproduction — the `simlint` binary CI gates on. Everything this
 //! repository claims rests on bit-identical determinism (golden digests
-//! over the event-wheel engine, the sharded merge, the fluid backend, the
+//! over the event-wheel engine, the multi-process merge, the fluid backend, the
 //! canonical JSONL wire); these analyzers turn the conventions behind those
 //! claims into machine-checked rules instead of remembered ones:
 //!

@@ -1,6 +1,6 @@
 //! Wire-contract drift checker.
 //!
-//! `docs/WIRE.md` is the normative specification of the JSONL shard wire
+//! `docs/WIRE.md` is the normative specification of the JSONL campaign wire
 //! format and `crates/core/src/wire.rs` is its only implementation. This
 //! analyzer extracts the set of JSON member keys from both sides and
 //! cross-checks them **bidirectionally**, so an encoder key the doc never

@@ -271,7 +271,7 @@ pub enum TraceSpec {
     /// distributed workers need the file at the same path.
     Path(String),
     /// Records carried inline (inside the manifest itself) — the fully
-    /// self-contained form, which is what sharded campaigns should prefer.
+    /// self-contained form, which is what multi-process campaigns should prefer.
     Inline(Vec<TraceRecord>),
 }
 

@@ -63,8 +63,7 @@ pub mod prelude {
     pub use hpcc_core::{
         BuildError, Campaign, CampaignReport, CcSpec, CdfSpec, Coordinator, Experiment,
         ExperimentBuilder, ExperimentResults, FabricConfig, FabricError, FlowDecl, MeasurementSpec,
-        ResultLedger, ScenarioResult, ScenarioSpec, ShardPlan, TopologyChoice, WorkerConfig,
-        WorkloadSpec,
+        ResultLedger, ScenarioResult, ScenarioSpec, TopologyChoice, WorkerConfig, WorkloadSpec,
     };
     pub use hpcc_sim::{EcnConfig, FlowControlMode, SimConfig, SimOutput, Simulator};
     pub use hpcc_stats::{FctAnalyzer, Percentiles};

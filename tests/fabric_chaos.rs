@@ -1,5 +1,7 @@
-//! Chaos test for the elastic campaign fabric: a coordinator and three
-//! real worker *processes*, two of which fail mid-campaign —
+//! End-to-end tests of the elastic campaign fabric with real worker
+//! *processes*: a fault-free run of the Figure 11 set, a run with
+//! malformed peers connected alongside the workers, and a chaos run in
+//! which two of three workers fail mid-campaign —
 //!
 //! * worker `wedge` executes two scenarios, then goes silent *without*
 //!   sending the second result (heartbeats stop, connection stays open:
@@ -13,17 +15,19 @@
 //! a coordinator restarted over the complete checkpoint must finish
 //! without re-running a single scenario.
 //!
-//! Like `tests/distributed_campaign.rs`, worker processes are this very
-//! test binary re-spawned with `std::env::current_exe()`:
-//! [`fabric_worker_entry`] doubles as the worker `main` when
-//! `HPCC_FABRIC_JOIN` is set, and is a no-op pass otherwise.
+//! Worker processes are this very test binary re-spawned with
+//! `std::env::current_exe()`: [`fabric_worker_entry`] doubles as the worker
+//! `main` when `HPCC_FABRIC_JOIN` is set, and is a no-op pass otherwise.
 
 use hpcc::core::fabric::{self, Coordinator, FabricConfig, WorkerConfig};
-use hpcc::core::presets::fabric_smoke_campaign;
+use hpcc::core::presets::{fabric_smoke_campaign, fig11_campaign};
 use hpcc::core::wire::merge_shard_streams;
+use hpcc::topology::FatTreeParams;
 use std::env;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Worker entry point (and, without the environment variable, a no-op
 /// test): join the coordinator named by `HPCC_FABRIC_JOIN` and execute
@@ -61,6 +65,133 @@ fn spawn_worker(addr: &str, name: &str, hang: Option<usize>, quit: Option<usize>
         cmd.env("HPCC_FABRIC_QUIT_AFTER", n.to_string());
     }
     cmd.spawn().expect("cannot spawn worker process")
+}
+
+/// Acceptance test: two real worker *processes* share the Figure 11
+/// six-scheme set over the fabric, and the merged report is bit-identical
+/// to `run_serial()`.
+#[test]
+fn two_worker_processes_reproduce_serial_bit_for_bit() {
+    let campaign = fig11_campaign(
+        FatTreeParams::small(),
+        0.3,
+        hpcc::types::Duration::from_ms(2),
+        true,
+        42,
+    );
+    let coordinator = Coordinator::bind("127.0.0.1:0").expect("cannot bind");
+    let addr = coordinator.local_addr().expect("bound address").to_string();
+    let mut workers = [
+        spawn_worker(&addr, "w0", None, None),
+        spawn_worker(&addr, "w1", None, None),
+    ];
+    let fab = coordinator
+        .serve(&campaign, &FabricConfig::default())
+        .expect("fabric serve failed");
+    for w in &mut workers {
+        let status = w.wait().expect("worker did not exit");
+        assert!(status.success(), "worker process failed: {status}");
+    }
+    assert_eq!(fab.executed, campaign.len() as u64);
+
+    let merged = fab.report;
+    let serial = campaign.run_serial();
+    // Bit-identical: per-scenario FNV digests and the canonical report JSON.
+    assert_eq!(merged.digests(), serial.digests());
+    assert_eq!(merged.to_json_string(), serial.to_json_string());
+    // Scenario order and summary metrics survived the round trip.
+    assert_eq!(merged.results.len(), 6);
+    for (m, s) in merged.results.iter().zip(&serial.results) {
+        assert_eq!(m.name, s.name);
+        assert_eq!(m.scheme, s.scheme);
+        assert_eq!(m.slowdown, s.slowdown);
+        assert_eq!(m.queue_p99, s.queue_p99);
+        assert_eq!(m.pfc, s.pfc);
+        assert_eq!(m.completion, s.completion);
+        // Wire results carry the summary, not the raw simulator output.
+        assert!(m.results.is_none());
+        assert!(s.results.is_some());
+        // The envelope restored a real worker-side wall measurement.
+        assert!(m.wall > Duration::ZERO);
+    }
+    // The merged report renders like any locally-run one.
+    let table = merged.table();
+    assert!(table.contains("HPCC"), "{table}");
+    assert!(table.contains("6 scenarios"), "{table}");
+}
+
+/// Peers that connect but never complete a hello — one silent, one
+/// sending garbage, one sending an oversize frame header and then going
+/// silent — neither disturb the run nor outlive it: each is dropped once
+/// it has been silent for the lease timeout.
+#[test]
+fn malformed_peers_are_dropped_and_do_not_disturb_the_run() {
+    let campaign = fabric_smoke_campaign();
+    let serial = campaign.run_serial();
+    let coordinator = Coordinator::bind("127.0.0.1:0").expect("cannot bind");
+    let addr = coordinator.local_addr().expect("bound address").to_string();
+    let cfg = FabricConfig {
+        lease_timeout: Duration::from_millis(400),
+        ..FabricConfig::default()
+    };
+    let connect = || TcpStream::connect(&addr).expect("cannot connect");
+    let mut silent = connect();
+    let mut garbage = connect();
+    garbage
+        .write_all(b"not a frame at all\n\x00\xff{]\n")
+        .expect("cannot send garbage");
+    let mut oversize = connect();
+    oversize
+        .write_all(b"99999999999999\n")
+        .expect("cannot send header");
+    let mut workers = [
+        spawn_worker(&addr, "w0", None, None),
+        spawn_worker(&addr, "w1", None, None),
+    ];
+
+    let fab = coordinator
+        .serve(&campaign, &cfg)
+        .expect("fabric serve failed");
+    for w in &mut workers {
+        assert!(w.wait().expect("worker did not exit").success());
+    }
+    assert_eq!(fab.report.digests(), serial.digests());
+    assert_eq!(fab.report.to_json_string(), serial.to_json_string());
+
+    // Every malformed peer is disconnected within a bounded wait: its read
+    // sees EOF (or, for the garbage peer, possibly a reset, should the
+    // coordinator close over bytes it never read).
+    for (name, peer, reset_ok) in [
+        ("silent", &mut silent, false),
+        ("garbage", &mut garbage, true),
+        ("oversize", &mut oversize, false),
+    ] {
+        peer.set_read_timeout(Some(Duration::from_millis(100)))
+            .expect("cannot set read timeout");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut buf = [0u8; 256];
+        loop {
+            match peer.read(&mut buf) {
+                Ok(0) => break,
+                Ok(_) => {}
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    assert!(
+                        Instant::now() < deadline,
+                        "{name} peer still connected 10 s after serve() returned"
+                    );
+                }
+                Err(e) => {
+                    assert!(reset_ok, "{name} peer: {e}");
+                    break;
+                }
+            }
+        }
+    }
 }
 
 #[test]

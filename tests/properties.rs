@@ -13,6 +13,9 @@ use hpcc::prelude::*;
 use hpcc::types::rng::SplitMix64;
 use hpcc::types::{IntHeader, IntHopRecord};
 
+mod common;
+use common::mixed_campaign;
+
 const LINE: Bandwidth = Bandwidth::from_gbps(100);
 const RTT: Duration = Duration::from_us(13);
 
@@ -221,18 +224,24 @@ fn fabric_property_campaign() -> Campaign {
     )
 }
 
-/// Fabric ledger invariance: for every worker count `k ∈ {1..4}`, any
-/// interleaving of per-worker completion orders, and randomly injected
-/// duplicate deliveries, the merged report is bit-identical to
-/// `run_serial()` — digests and canonical JSON — and the ledger accounts
-/// exactly for the duplicates it absorbed.
+/// Fabric ledger invariance: for every worker count `k ∈ {1, 2, 3, 4, 7}`
+/// (7 leaves some workers without a single index), any interleaving of
+/// per-worker completion orders, and randomly injected duplicate
+/// deliveries, the merged report is bit-identical to `run_serial()` —
+/// digests and canonical JSON — and the ledger accounts exactly for the
+/// duplicates it absorbed.
 #[test]
 fn fabric_ledger_is_invariant_to_order_duplicates_and_worker_count() {
-    let campaign = fabric_property_campaign();
+    for campaign in [fabric_property_campaign(), mixed_campaign()] {
+        check_fabric_ledger_invariance(&campaign);
+    }
+}
+
+fn check_fabric_ledger_invariance(campaign: &Campaign) {
     let serial = campaign.run_serial();
     let reference_json = serial.to_json_string();
     let mut rng = SplitMix64::new(0xFAB51C);
-    for k in 1usize..=4 {
+    for k in [1usize, 2, 3, 4, 7] {
         for _round in 0..3 {
             // Each worker owns the indices `i % k == w`, completes them in
             // its own shuffled order, and the streams interleave randomly
