@@ -333,6 +333,9 @@ fn run_bench() {
         println!("bench engine/incast_pod/{n:<8} {iters:>9} runs   {rate:>12.0} events/sec");
     }
 
+    // The event wheel alone, at the paper fabric's measured density.
+    event_queue_bench();
+
     println!("== figures: miniature figure scenarios (shape-asserted) ==");
     for (name, run) in [
         (
@@ -367,6 +370,48 @@ fn run_bench() {
             started.elapsed().as_secs_f64() * 1e3
         );
     }
+}
+
+/// `engine/event_queue/paper_density`: one push + one pop per iteration on
+/// an `EventQueue` held at the density the 320-host paper fabric runs at —
+/// ~13 k events pending, ~1,200 per 131 ns bucket, 41% of pushes into the
+/// bucket that is draining, 1% far-future timers — driven by a fixed-seed
+/// script, so the checksum is stable and the line shows the wheel's
+/// per-operation cost on its own.
+fn event_queue_bench() {
+    use hpcc_sim::engine::{Event, EventQueue};
+    use hpcc_types::rng::SplitMix64;
+    use hpcc_types::SimTime;
+
+    const BUCKET_PS: u64 = 1 << 17;
+    let mut rng = SplitMix64::new(0x5EED_3A7E);
+    let mut push = |q: &mut EventQueue, now: u64| {
+        let roll = rng.next_below(100);
+        let t = if roll < 41 {
+            let bucket_end = (now / BUCKET_PS + 1) * BUCKET_PS;
+            now + rng.next_below(bucket_end - now)
+        } else if roll < 99 {
+            now + BUCKET_PS + rng.next_below(28 * BUCKET_PS)
+        } else {
+            now + 64 * BUCKET_PS + rng.next_below(1 << 26)
+        };
+        q.push(SimTime::from_ps(t), Event::Sample);
+    };
+    let mut q = EventQueue::new();
+    for _ in 0..13_000 {
+        push(&mut q, 0);
+    }
+    let mut now = 0u64;
+    // Untimed warm-up to the steady-state density.
+    for _ in 0..200_000 {
+        now = q.pop().expect("queue never drains").0.as_ps();
+        push(&mut q, now);
+    }
+    bench_line("engine/event_queue/paper_density", 2_000_000, || {
+        now = q.pop().expect("queue never drains").0.as_ps();
+        push(&mut q, now);
+        now
+    });
 }
 
 /// Exit with a usage/runtime error (status 2) on stderr.

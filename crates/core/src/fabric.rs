@@ -528,20 +528,19 @@ impl Coordinator {
 }
 
 /// Poll the (nonblocking) listener until the run winds down, spawning a
-/// detached reader thread per connection. Every accepted socket reads with
-/// `read_timeout` (the lease timeout): a peer silent that long — registered
-/// worker or not — errors out of `read_frame` and its thread closes the
-/// socket, so no connection outlives the run by more than one timeout.
+/// detached reader thread per connection. Once the run is done the loop
+/// drains the connections still queued on the listener (their hello gets
+/// `bye`) and returns. Every accepted socket reads with `read_timeout` (the
+/// lease timeout): a peer silent that long — registered worker or not —
+/// errors out of `read_frame` and its thread closes the socket, so no
+/// connection outlives the run by more than one timeout.
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, read_timeout: std::time::Duration) {
     loop {
-        if shared
+        let done = shared
             .state
             .lock()
             .expect("fabric state poisoned")
-            .done_serving
-        {
-            return;
-        }
+            .done_serving;
         match listener.accept() {
             Ok((stream, _)) => {
                 let _ = stream.set_nodelay(true);
@@ -549,7 +548,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, read_timeout: std::
                 let shared = Arc::clone(shared);
                 std::thread::spawn(move || serve_connection(&shared, stream));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock && !done => {
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }
             Err(_) => return,
@@ -571,6 +570,9 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
         Ok(Some(FabricMsg::Hello { worker })) => {
             let mut st = shared.state.lock().expect("fabric state poisoned");
             if st.done_serving {
+                // The campaign finished before this hello was served: say
+                // bye so the worker leaves cleanly instead of seeing EOF.
+                let _ = wire::write_frame(&mut &stream, &FabricMsg::Bye);
                 let _ = stream.shutdown(Shutdown::Both);
                 return;
             }
@@ -660,7 +662,8 @@ impl Default for WorkerConfig {
 pub struct WorkerSummary {
     /// Scenarios executed and streamed back.
     pub executed: usize,
-    /// Scenario count of the campaign the coordinator shipped.
+    /// Scenario count of the campaign the coordinator shipped (0 when it
+    /// said bye before shipping one).
     pub campaign_len: usize,
 }
 
@@ -668,7 +671,9 @@ pub struct WorkerSummary {
 /// the wire, and execute leases — streaming each result back the moment it
 /// completes — until the coordinator says bye or the connection ends.
 /// Heartbeats ride a separate thread so a long scenario cannot make a
-/// healthy worker look dead.
+/// healthy worker look dead. A worker that joins after the campaign has
+/// completed gets `bye` (or EOF) instead of a manifest and returns cleanly
+/// with nothing executed.
 pub fn join(addr: &str, cfg: &WorkerConfig) -> Result<WorkerSummary, FabricError> {
     let stream = TcpStream::connect(addr)?;
     let _ = stream.set_nodelay(true);
@@ -682,6 +687,13 @@ pub fn join(addr: &str, cfg: &WorkerConfig) -> Result<WorkerSummary, FabricError
     )?;
     let campaign = match wire::read_frame(&mut reader)? {
         Some(FabricMsg::Manifest { campaign }) => campaign,
+        // The campaign completed before this hello was served.
+        Some(FabricMsg::Bye) | None => {
+            return Ok(WorkerSummary {
+                executed: 0,
+                campaign_len: 0,
+            })
+        }
         _ => {
             return Err(FabricError::Protocol(
                 "expected a manifest after hello".to_string(),
@@ -899,6 +911,58 @@ mod tests {
             .map(|w| w.join().unwrap().unwrap().executed)
             .sum();
         assert_eq!(executed, 6, "both workers drained the queue exactly");
+    }
+
+    #[test]
+    fn a_hello_after_the_campaign_ends_gets_bye() {
+        let campaign = tiny_campaign(2);
+        let coordinator = Coordinator::bind("127.0.0.1:0").unwrap();
+        let addr = coordinator.local_addr().unwrap().to_string();
+        // A peer that connects before the real worker (so it is accepted
+        // before the campaign can end) but stays silent until it has ended.
+        let late = TcpStream::connect(&addr).unwrap();
+        let worker = {
+            let addr = addr.clone();
+            std::thread::spawn(move || join(&addr, &WorkerConfig::default()))
+        };
+        let cfg = FabricConfig {
+            lease_timeout: std::time::Duration::from_secs(60),
+            ..FabricConfig::default()
+        };
+        let fabric = coordinator.serve(&campaign, &cfg).unwrap();
+        assert_eq!(fabric.executed, 2);
+        assert_eq!(fabric.workers_seen, 1, "the silent peer never registered");
+        assert_eq!(worker.join().unwrap().unwrap().executed, 2);
+        late.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .unwrap();
+        let hello = FabricMsg::Hello {
+            worker: "late".to_string(),
+        };
+        wire::write_frame(&mut &late, &hello).unwrap();
+        let reply = wire::read_frame(&mut BufReader::new(&late)).unwrap();
+        assert!(
+            matches!(reply, Some(FabricMsg::Bye)),
+            "a hello after the campaign must be answered with bye"
+        );
+    }
+
+    #[test]
+    fn join_leaves_cleanly_when_the_first_reply_is_bye_or_eof() {
+        for say_bye in [true, false] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let coordinator = std::thread::spawn(move || {
+                let (stream, _) = listener.accept().unwrap();
+                let hello = wire::read_frame(&mut BufReader::new(&stream)).unwrap();
+                assert!(matches!(hello, Some(FabricMsg::Hello { .. })));
+                if say_bye {
+                    wire::write_frame(&mut &stream, &FabricMsg::Bye).unwrap();
+                }
+            });
+            let summary = join(&addr, &WorkerConfig::default()).unwrap();
+            assert_eq!(summary.executed, 0, "say_bye={say_bye}");
+            coordinator.join().unwrap();
+        }
     }
 
     #[test]

@@ -13,17 +13,22 @@
 //! [`EventQueue`] is a bucketed calendar queue, not a binary heap. Simulated
 //! time (integer picoseconds) is divided into fixed-width buckets of
 //! `2^BUCKET_SHIFT` ps; a ring of `NUM_BUCKETS` buckets covers a sliding
-//! window of ~134 µs ahead of the cursor, which is enough for every hot
-//! event class (serialization at 100 Gbps ≈ 88 ns/packet, propagation ≈ 1 µs,
-//! queue sampling 1–5 µs, DCQCN timers ≈ 55 µs). Events beyond the window —
-//! RTO checks and other far-future timers — go to a `BinaryHeap` overflow
-//! level and migrate into the ring as the cursor reaches their bucket.
+//! window of ~8.4 µs ahead of the cursor, which is enough for the dense event
+//! classes (serialization at 100 Gbps ≈ 88 ns/packet, propagation ≈ 1 µs,
+//! queue sampling 1–5 µs). Events beyond the window — flow starts, RTO
+//! checks, DCQCN's ≈ 55 µs timers and other far-future timers — go to a
+//! `BinaryHeap` overflow level and migrate into the ring as the cursor
+//! reaches their bucket. The small ring keeps the memory the buckets retain
+//! (each keeps its high-water capacity) independent of how many events a
+//! dense fabric keeps in flight across a long window.
 //!
 //! Pushing appends to the target bucket in O(1). When the cursor first
 //! enters a bucket, the bucket is sorted once by `(time, seq)`, which
-//! restores the exact tie-break order of the original heap implementation;
-//! events scheduled *into the current bucket* while it drains are placed by
-//! binary search so the invariant holds mid-bucket too.
+//! restores the exact tie-break order of the original heap implementation.
+//! Events scheduled *into the current bucket* while it drains go to a small
+//! `BinaryHeap` "late" level in O(log k); `pop` takes the smaller
+//! `(time, seq)` of the bucket front and the late-level top, so the
+//! invariant holds mid-bucket too.
 
 use hpcc_types::{FlowId, NodeId, Packet, PortId, SimTime};
 use std::cmp::Ordering;
@@ -33,8 +38,8 @@ use std::collections::{BinaryHeap, VecDeque};
 const BUCKET_SHIFT: u32 = 17;
 
 /// Number of buckets in the ring; the window covers
-/// `NUM_BUCKETS << BUCKET_SHIFT` ≈ 134 µs of simulated time.
-const NUM_BUCKETS: usize = 1024;
+/// `NUM_BUCKETS << BUCKET_SHIFT` ≈ 8.4 µs of simulated time.
+const NUM_BUCKETS: usize = 64;
 
 /// Everything that can happen in the simulation.
 ///
@@ -186,7 +191,7 @@ impl PartialOrd for Scheduled {
 impl Ord for Scheduled {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse ordering: BinaryHeap is a max-heap and we want the earliest
-        // (time, seq) first (used by the overflow level).
+        // (time, seq) first (used by the late and overflow levels).
         other
             .time
             .cmp(&self.time)
@@ -195,7 +200,8 @@ impl Ord for Scheduled {
 }
 
 /// Deterministic time-ordered event queue: an indexed event wheel with a
-/// binary-heap overflow level for far-future timers.
+/// binary-heap late level for the draining bucket and a binary-heap overflow
+/// level for far-future timers.
 #[derive(Debug)]
 pub struct EventQueue {
     /// Ring of FIFO buckets; bucket for absolute slot `s` is `s % NUM_BUCKETS`.
@@ -204,8 +210,10 @@ pub struct EventQueue {
     cursor: u64,
     /// Whether the bucket at `cursor` has been overflow-merged and sorted.
     current_prepared: bool,
-    /// Events currently stored in the ring.
+    /// Events currently stored in the ring buckets.
     wheel_len: usize,
+    /// Events pushed into the cursor's bucket after it was sorted.
+    late: BinaryHeap<Scheduled>,
     /// Far-future events (beyond the ring window at push time).
     overflow: BinaryHeap<Scheduled>,
     next_seq: u64,
@@ -220,6 +228,7 @@ impl Default for EventQueue {
             cursor: 0,
             current_prepared: false,
             wheel_len: 0,
+            late: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
             next_seq: 0,
             scheduled: 0,
@@ -231,6 +240,11 @@ impl Default for EventQueue {
 #[inline]
 fn slot_of(time: SimTime) -> u64 {
     time.as_ps() >> BUCKET_SHIFT
+}
+
+#[inline]
+fn ring_index(slot: u64) -> usize {
+    (slot % NUM_BUCKETS as u64) as usize
 }
 
 impl EventQueue {
@@ -245,24 +259,18 @@ impl EventQueue {
         self.next_seq += 1;
         self.scheduled += 1;
         let s = Scheduled { time, seq, event };
-        let slot = slot_of(time);
+        // Anything at or before the cursor's bucket (the simulator never
+        // schedules into the past; this clamps defensively) belongs to the
+        // current bucket.
+        let slot = slot_of(time).max(self.cursor);
         if slot >= self.cursor + NUM_BUCKETS as u64 {
             self.overflow.push(s);
+        } else if slot == self.cursor && self.current_prepared {
+            // The current bucket is sorted and partially drained: the late
+            // level orders the newcomer against it at pop time.
+            self.late.push(s);
         } else {
-            // Anything at or before the cursor's bucket (the simulator never
-            // schedules into the past; this clamps defensively) lands in the
-            // current bucket.
-            let slot = slot.max(self.cursor);
-            let bucket = &mut self.buckets[(slot % NUM_BUCKETS as u64) as usize];
-            if slot == self.cursor && self.current_prepared {
-                // The current bucket is sorted and partially drained: keep it
-                // sorted. The new event has the largest seq, so it lands after
-                // every pending event with the same time.
-                let pos = bucket.partition_point(|x| (x.time, x.seq) < (s.time, s.seq));
-                bucket.insert(pos, s);
-            } else {
-                bucket.push_back(s);
-            }
+            self.buckets[ring_index(slot)].push_back(s);
             self.wheel_len += 1;
         }
         self.peak_len = self.peak_len.max(self.len());
@@ -271,16 +279,15 @@ impl EventQueue {
     /// Merge overflow events that belong to the cursor's bucket, then sort
     /// the bucket by `(time, seq)`.
     fn prepare_current(&mut self) {
+        let bucket = &mut self.buckets[ring_index(self.cursor)];
         while let Some(top) = self.overflow.peek() {
             if slot_of(top.time) <= self.cursor {
-                let s = self.overflow.pop().unwrap();
-                self.buckets[(self.cursor % NUM_BUCKETS as u64) as usize].push_back(s);
+                bucket.push_back(self.overflow.pop().expect("peeked above"));
                 self.wheel_len += 1;
             } else {
                 break;
             }
         }
-        let bucket = &mut self.buckets[(self.cursor % NUM_BUCKETS as u64) as usize];
         bucket
             .make_contiguous()
             .sort_unstable_by_key(|s| (s.time, s.seq));
@@ -288,7 +295,7 @@ impl EventQueue {
     }
 
     /// Move the cursor to the next slot that has work. Caller guarantees the
-    /// queue is non-empty and the current bucket is drained.
+    /// queue is non-empty and the current bucket and late level are drained.
     fn advance(&mut self) {
         self.current_prepared = false;
         let overflow_slot = self.overflow.peek().map(|s| slot_of(s.time));
@@ -305,7 +312,7 @@ impl EventQueue {
                     return;
                 }
             }
-            if !self.buckets[(slot % NUM_BUCKETS as u64) as usize].is_empty() {
+            if !self.buckets[ring_index(slot)].is_empty() {
                 self.cursor = slot;
                 return;
             }
@@ -320,29 +327,48 @@ impl EventQueue {
     /// owns the processed counter.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
         loop {
-            if self.wheel_len == 0 && self.overflow.is_empty() {
+            if self.is_empty() {
                 return None;
             }
             if !self.current_prepared {
                 self.prepare_current();
             }
-            let bucket = &mut self.buckets[(self.cursor % NUM_BUCKETS as u64) as usize];
-            if let Some(s) = bucket.pop_front() {
+            let bucket = &mut self.buckets[ring_index(self.cursor)];
+            // `Scheduled` orders in reverse (for the max-heaps), so the
+            // earlier `(time, seq)` compares greater.
+            let from_late = match (bucket.front(), self.late.peek()) {
+                (Some(front), Some(late)) => late > front,
+                (None, Some(_)) => true,
+                (Some(_), None) => false,
+                (None, None) => {
+                    self.advance();
+                    continue;
+                }
+            };
+            let s = if from_late {
+                self.late.pop()
+            } else {
                 self.wheel_len -= 1;
-                return Some((s.time, s.event));
-            }
-            self.advance();
+                bucket.pop_front()
+            };
+            return s.map(|s| (s.time, s.event));
         }
     }
 
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let mut best = self.overflow.peek().map(|s| s.time);
+        let mut best = self
+            .overflow
+            .peek()
+            .into_iter()
+            .chain(self.late.peek())
+            .map(|s| s.time)
+            .min();
         if self.wheel_len > 0 {
             // The first non-empty bucket from the cursor holds the earliest
             // ring event (bucket slot is a monotone function of time).
             for d in 0..NUM_BUCKETS as u64 {
-                let bucket = &self.buckets[((self.cursor + d) % NUM_BUCKETS as u64) as usize];
+                let bucket = &self.buckets[ring_index(self.cursor + d)];
                 if let Some(m) = bucket.iter().map(|s| s.time).min() {
                     best = Some(best.map_or(m, |b| b.min(m)));
                     break;
@@ -352,9 +378,9 @@ impl EventQueue {
         best
     }
 
-    /// Number of pending events.
+    /// Number of pending events, wherever they are stored.
     pub fn len(&self) -> usize {
-        self.wheel_len + self.overflow.len()
+        self.wheel_len + self.late.len() + self.overflow.len()
     }
 
     /// True if no events are pending.
@@ -608,5 +634,102 @@ mod tests {
             assert_eq!(t.as_ps(), min.0);
         }
         assert!(reference.is_empty());
+    }
+
+    #[test]
+    fn wheel_matches_reference_heap_on_a_dense_schedule() {
+        // The density of the paper's 320-host fabric: over a thousand events
+        // per bucket, over 40% of pushes into the bucket that is draining,
+        // same-time ties, and timers beyond the ring window. Pop order must
+        // equal the (time, seq) reference, and `len`/`peak_len` must count
+        // every pending event wherever the queue keeps it.
+        use hpcc_types::rng::SplitMix64;
+        use std::collections::{BTreeMap, BTreeSet};
+        const WIDTH: u64 = 1 << BUCKET_SHIFT;
+        const GRID: u64 = 4096; // coarse times: many same-time ties
+        let window = (NUM_BUCKETS as u64) << BUCKET_SHIFT;
+        let mut rng = SplitMix64::new(0xDE45E);
+        let mut q = EventQueue::new();
+        let mut reference: BTreeSet<(u64, u64)> = BTreeSet::new();
+        let mut peak = 0usize;
+        let mut seq = 0u64;
+        let mut now = 0u64;
+        let mut draining = false;
+        let (mut pushes, mut draining_pushes, mut far_pushes) = (0u64, 0u64, 0u64);
+        let mut pops_per_slot: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut push = |q: &mut EventQueue,
+                        reference: &mut BTreeSet<(u64, u64)>,
+                        rng: &mut SplitMix64,
+                        now: u64,
+                        draining: bool| {
+            let roll = rng.next_below(100);
+            let t = if roll < 45 {
+                // Same bucket as `now`: exactly now, or later in the bucket.
+                if rng.next_below(8) == 0 {
+                    now
+                } else {
+                    let bucket_end = (now / WIDTH + 1) * WIDTH;
+                    let t = now + rng.next_below(bucket_end - now);
+                    (t - t % GRID).max(now)
+                }
+            } else if roll < 98 {
+                (now + WIDTH + rng.next_below(16 * WIDTH)).next_multiple_of(GRID)
+            } else {
+                far_pushes += 1;
+                now + window + rng.next_below(1 << 26)
+            };
+            if draining {
+                pushes += 1;
+                if t >> BUCKET_SHIFT == now >> BUCKET_SHIFT {
+                    draining_pushes += 1;
+                }
+            }
+            q.push(SimTime::from_ps(t), Event::FlowStart(seq as usize));
+            reference.insert((t, seq));
+            seq += 1;
+        };
+        let check_pop = |q: &mut EventQueue, reference: &mut BTreeSet<(u64, u64)>| {
+            let (t, ev) = q.pop().unwrap();
+            let (rt, rseq) = reference.pop_first().unwrap();
+            assert_eq!(t.as_ps(), rt);
+            assert!(matches!(ev, Event::FlowStart(i) if i as u64 == rseq));
+            rt
+        };
+        // Warm up to ~13 k pending, as on the paper fabric.
+        for _ in 0..13_000 {
+            push(&mut q, &mut reference, &mut rng, now, draining);
+            peak = peak.max(reference.len());
+            assert_eq!((q.len(), q.peak_len()), (reference.len(), peak));
+        }
+        // Steady state: one pop, then 0-2 pushes relative to the new time,
+        // so the pending count random-walks around its start.
+        for _ in 0..100_000 {
+            now = check_pop(&mut q, &mut reference);
+            *pops_per_slot.entry(now >> BUCKET_SHIFT).or_default() += 1;
+            draining = true;
+            assert_eq!((q.len(), q.peak_len()), (reference.len(), peak));
+            for _ in 0..rng.next_below(3) {
+                push(&mut q, &mut reference, &mut rng, now, draining);
+                peak = peak.max(reference.len());
+                assert_eq!((q.len(), q.peak_len()), (reference.len(), peak));
+            }
+        }
+        while !reference.is_empty() {
+            check_pop(&mut q, &mut reference);
+            assert_eq!((q.len(), q.peak_len()), (reference.len(), peak));
+        }
+        assert!(q.pop().is_none());
+        // The schedule really had the density it claims.
+        let dense = pops_per_slot.values().filter(|&&n| n >= 1000).count();
+        assert!(
+            dense * 2 > pops_per_slot.len(),
+            "most drained buckets held >= 1000 events: {dense} of {}",
+            pops_per_slot.len()
+        );
+        assert!(
+            draining_pushes * 100 >= 40 * pushes,
+            "{draining_pushes} of {pushes} steady-state pushes hit the draining bucket"
+        );
+        assert!(far_pushes > 1000, "{far_pushes} far-future timers");
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! A [`TopologySpec`] is produced once by a builder and then treated as
 //! immutable by the simulator. Ports are assigned densely per node in the
-//! order links are added; routing tables list, for every node and every
-//! destination host, the set of equal-cost next-hop ports.
+//! order links are added; the routing table (a flat [`RouteTable`]) lists,
+//! for every node and every destination host, the set of equal-cost
+//! next-hop ports.
 
-use crate::routing::compute_routes;
+use crate::routing::{compute_routes, RouteTable};
 use hpcc_types::{Bandwidth, Duration, NodeId, PortId};
 use std::collections::HashMap;
 
@@ -50,8 +51,8 @@ pub struct TopologySpec {
     kinds: Vec<NodeKind>,
     links: Vec<LinkSpec>,
     ports: Vec<Vec<PortDesc>>,
-    /// `routes[node][dst_host] -> equal-cost next-hop ports of `node``.
-    routes: Vec<HashMap<NodeId, Vec<PortId>>>,
+    /// Equal-cost next-hop ports of every node towards every host.
+    routes: RouteTable,
     hosts: Vec<NodeId>,
     switches: Vec<NodeId>,
 }
@@ -82,12 +83,10 @@ impl TopologySpec {
         &self.ports[node.index()]
     }
     /// The equal-cost next-hop ports of `node` towards destination host
-    /// `dst`. Empty when `dst` is unreachable or `node == dst`.
+    /// `dst`, in port order. Empty when `dst` is unreachable, `node == dst`,
+    /// or either id is unknown.
     pub fn next_hops(&self, node: NodeId, dst: NodeId) -> &[PortId] {
-        self.routes[node.index()]
-            .get(&dst)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        self.routes.next_hops(node, dst)
     }
 
     /// The number of hops (links) on a shortest path between two hosts.
