@@ -84,19 +84,19 @@
 //!   report. Pass `--expect N` (or `--manifest`, whose scenario count is
 //!   used) so a file truncated at its tail cannot slip through as a
 //!   shorter-but-valid report.
-//! * `--dump-fabric-manifest` — print the committed fabric smoke campaign
-//!   (`manifests/fabric_smoke.json`).
+//! * `--dump-fabric-manifest` / `--dump-fluid-manifest` — print the
+//!   committed fabric / fluid smoke campaign (`manifests/fabric_smoke.json`,
+//!   `manifests/fluid_smoke.json`; `presets::fabric_smoke_campaign` and
+//!   `presets::fluid_smoke_campaign`).
 
 use hpcc_core::campaign::digest_output;
 use hpcc_core::fabric;
 use hpcc_core::presets::{
-    corpus_sweep, fabric_smoke_campaign, fattree_fb_hadoop, fig11_campaign, validation_grid,
-    CORPUS_FILES,
+    fabric_smoke_campaign, fattree_fb_hadoop, fig11_campaign, fluid_smoke_campaign, validation_grid,
 };
-use hpcc_core::{wire, BackendSpec, Campaign, CcSpec, ScenarioSpec, ValidationReport};
+use hpcc_core::{wire, Campaign, CcSpec, ScenarioSpec, ValidationReport};
 use hpcc_sim::FlowControlMode;
 use hpcc_topology::FatTreeParams;
-use hpcc_types::Bandwidth;
 use hpcc_types::Duration;
 use std::hint::black_box;
 use std::process::{Command, Stdio};
@@ -989,29 +989,7 @@ fn main() {
         return;
     }
     if cli.dump_fluid_manifest {
-        // The fluid smoke campaign committed as manifests/fluid_smoke.json:
-        // the validation grid on the fluid backend, plus the corpus sweep on
-        // both backends (one manifest sweeping the "backend" key end to
-        // end). Corpus paths are repo-relative — run it from the repo root.
-        let mut specs: Vec<ScenarioSpec> = validation_grid(Duration::from_ms(2), 42)
-            .into_iter()
-            .map(|s| s.with_backend(BackendSpec::Fluid))
-            .collect();
-        let corpus = corpus_sweep(
-            &CORPUS_FILES,
-            CcSpec::by_label("HPCC"),
-            Bandwidth::from_gbps(25),
-            0.3,
-            Duration::from_us(500),
-            42,
-        );
-        for spec in corpus.specs() {
-            specs.push(spec.clone());
-            let mut fluid = spec.clone().with_backend(BackendSpec::Fluid);
-            fluid.name = format!("{} (fluid)", spec.name);
-            specs.push(fluid);
-        }
-        println!("{}", Campaign::from_scenarios(specs).to_json_string());
+        println!("{}", fluid_smoke_campaign().to_json_string());
         return;
     }
     if cli.dump_fabric_manifest {

@@ -18,6 +18,7 @@
 //! or spread across processes on several hosts.
 
 use crate::experiment::ExperimentResults;
+use crate::json::{Json, JsonError, JsonValue};
 use crate::report::truncate;
 use crate::scenario::{CdfSpec, ScenarioSpec, WorkloadSpec};
 use hpcc_sim::SimOutput;
@@ -153,30 +154,28 @@ impl Campaign {
         run_one(&self.scenarios[index])
     }
 
-    /// The manifest as a JSON array value (for embedding in larger
-    /// documents, e.g. the fabric's manifest message).
-    pub fn to_json(&self) -> crate::json::JsonValue {
-        crate::json::JsonValue::Array(self.scenarios.iter().map(|s| s.to_json()).collect())
-    }
-
     /// Serialize every scenario into a JSON array (a campaign manifest).
     pub fn to_json_string(&self) -> String {
         self.to_json().render()
     }
 
-    /// Parse a campaign out of a JSON array value (the inverse of
-    /// [`Campaign::to_json`]).
-    pub fn from_json(doc: &crate::json::JsonValue) -> Result<Self, crate::json::JsonError> {
-        let mut scenarios = Vec::new();
-        for item in doc.as_array()? {
-            scenarios.push(ScenarioSpec::from_json(item)?);
-        }
-        Ok(Campaign { scenarios })
+    /// Parse a campaign manifest (a JSON array of scenarios).
+    pub fn from_json_str(text: &str) -> Result<Self, JsonError> {
+        Campaign::from_json(&JsonValue::parse(text)?)
+    }
+}
+
+/// A campaign manifest is the JSON array of its scenarios (the fabric's
+/// manifest message embeds it as one value).
+impl Json for Campaign {
+    fn to_json(&self) -> JsonValue {
+        self.scenarios.to_json()
     }
 
-    /// Parse a campaign manifest (a JSON array of scenarios).
-    pub fn from_json_str(text: &str) -> Result<Self, crate::json::JsonError> {
-        Campaign::from_json(&crate::json::JsonValue::parse(text)?)
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        Ok(Campaign {
+            scenarios: Json::from_json(v)?,
+        })
     }
 }
 
@@ -267,6 +266,7 @@ fn bucket_choice(spec: &ScenarioSpec) -> BucketChoice {
 /// deterministic output; only `wall` depends on the host machine. The
 /// summary (everything except `wall` and `results`) is what crosses process
 /// boundaries through the [`crate::wire`] JSONL format.
+#[derive(Clone)]
 pub struct ScenarioResult {
     /// Scenario name (copied from the spec).
     pub name: String,

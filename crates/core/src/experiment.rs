@@ -305,6 +305,7 @@ impl ExperimentBuilder {
 }
 
 /// The outcome of one experiment plus derived-metric helpers.
+#[derive(Clone)]
 pub struct ExperimentResults {
     /// Label copied from the experiment.
     pub label: String,

@@ -40,9 +40,10 @@
 
 use crate::campaign::{Campaign, CampaignReport, ScenarioResult};
 use crate::timing;
-use crate::wire::{self, FabricMsg, WireError};
+use crate::wire::{self, FabricMsg, ResultLine, WireError};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{BufReader, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -533,7 +534,9 @@ impl Coordinator {
 /// `bye`) and returns. Every accepted socket reads with `read_timeout` (the
 /// lease timeout): a peer silent that long — registered worker or not —
 /// errors out of `read_frame` and its thread closes the socket, so no
-/// connection outlives the run by more than one timeout.
+/// connection outlives the run by more than one timeout. The hello frame as
+/// a whole must also arrive within one `read_timeout` of the accept, so a
+/// peer trickling bytes slower than that cannot hold a thread either.
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, read_timeout: std::time::Duration) {
     loop {
         let done = shared
@@ -546,7 +549,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, read_timeout: std::
                 let _ = stream.set_nodelay(true);
                 let _ = stream.set_read_timeout(Some(read_timeout));
                 let shared = Arc::clone(shared);
-                std::thread::spawn(move || serve_connection(&shared, stream));
+                std::thread::spawn(move || serve_connection(&shared, stream, read_timeout));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock && !done => {
                 std::thread::sleep(std::time::Duration::from_millis(5));
@@ -556,17 +559,51 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, read_timeout: std::
     }
 }
 
+/// The read half of a coordinator connection. Every read waits at most the
+/// socket's read timeout; while `deadline` is set, reads also end at that
+/// instant, so a frame arriving one byte per timeout still times out.
+struct ConnReader {
+    stream: TcpStream,
+    deadline: Option<std::time::Instant>,
+}
+
+impl Read for ConnReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if let Some(deadline) = self.deadline {
+            let left = deadline.saturating_duration_since(timing::now());
+            if left.is_zero() {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::TimedOut,
+                    "frame deadline passed",
+                ));
+            }
+            self.stream.set_read_timeout(Some(left))?;
+        }
+        self.stream.read(buf)
+    }
+}
+
 /// One worker connection, from hello to bye (or death). Runs on its own
 /// detached thread; the scheduler unblocks it by shutting the socket down.
-fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
+/// The hello must arrive whole within `read_timeout`.
+fn serve_connection(shared: &Arc<Shared>, stream: TcpStream, read_timeout: std::time::Duration) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let mut reader = BufReader::new(read_half);
+    let mut reader = BufReader::new(ConnReader {
+        stream: read_half,
+        deadline: Some(timing::now() + read_timeout),
+    });
     // The first frame must be a hello; the manifest goes back before the
     // slot becomes leasable, so a worker never sees a lease it cannot map
     // onto a campaign.
-    let worker = match wire::read_frame(&mut reader) {
+    let hello = wire::read_frame(&mut reader);
+    reader.get_mut().deadline = None;
+    if stream.set_read_timeout(Some(read_timeout)).is_err() {
+        let _ = stream.shutdown(Shutdown::Both);
+        return;
+    }
+    let worker = match hello {
         Ok(Some(FabricMsg::Hello { worker })) => {
             let mut st = shared.state.lock().expect("fabric state poisoned");
             if st.done_serving {
@@ -603,8 +640,9 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
         let frame = wire::read_frame(&mut reader);
         let mut st = shared.state.lock().expect("fabric state poisoned");
         match frame {
-            Ok(Some(FabricMsg::Result { index, result })) => {
-                st.handle_result(worker, index, *result);
+            Ok(Some(FabricMsg::Result(line))) => {
+                let (index, result) = line.into_entry();
+                st.handle_result(worker, index, result);
             }
             Ok(Some(FabricMsg::Heartbeat { .. })) => {
                 st.workers[worker].last_heard = timing::now();
@@ -743,10 +781,8 @@ pub fn join(addr: &str, cfg: &WorkerConfig) -> Result<WorkerSummary, FabricError
                         }
                     }
                     executed.store(ran as u64, Ordering::Relaxed);
-                    let reply = FabricMsg::Result {
-                        index,
-                        result: Box::new(result),
-                    };
+                    let reply =
+                        FabricMsg::Result(Box::new(ResultLine::new(index, Cow::Owned(result))));
                     if let Err(e) = send(&writer, &reply) {
                         break 'conversation Err(e);
                     }

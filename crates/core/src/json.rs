@@ -1,4 +1,5 @@
-//! A minimal JSON value type with a writer and a recursive-descent parser.
+//! A minimal JSON value type with a writer and a recursive-descent parser,
+//! and the [`Json`] codec trait every manifest and wire type implements.
 //!
 //! The build environment vendors no external crates, so scenario
 //! serialization cannot lean on serde; this module implements the small JSON
@@ -6,7 +7,26 @@
 //! booleans, null, and numbers. Unsigned integers are kept exact (they carry
 //! picosecond timestamps and 64-bit seeds that would not survive an `f64`
 //! round-trip).
+//!
+//! # Field tables
+//!
+//! A record or tagged enum spells each JSON key once, in a table of rows
+//! that derives both directions (the crate-internal `json_record!` and
+//! `json_tagged!` macros; bare label enums use `json_labels!`). Encoding
+//! writes the rows in table order, so the table *is* the canonical key
+//! order. A row is one of:
+//!
+//! * `("key", field)` — always written, required when read;
+//! * `("key", field, optional)` — omitted exactly when the field equals its
+//!   `Default` (`None`, an empty `Vec`, a default enum), and read as that
+//!   default when absent;
+//! * `("key", field, defaulted)` — always written, read as the default when
+//!   absent (hand-written manifests may leave it out);
+//! * `(.., field)` — the members of the field's own object, spliced in place
+//!   (a record embedded in a `kind`-tagged variant, say).
 
+use hpcc_types::{Bandwidth, Duration};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A parsed JSON value.
@@ -89,11 +109,6 @@ impl JsonValue {
             JsonValue::Float(f) => Ok(*f),
             other => err(format!("expected number, got {other:?}")),
         }
-    }
-
-    /// Interpret as `usize`.
-    pub fn as_usize(&self) -> Result<usize, JsonError> {
-        Ok(self.as_u64()? as usize)
     }
 
     /// Interpret as a string slice.
@@ -197,6 +212,331 @@ impl JsonValue {
 pub fn obj(pairs: Vec<(&str, JsonValue)>) -> JsonValue {
     JsonValue::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
+
+/// A type with one canonical JSON form: decoding an encoded value gives the
+/// value back, and re-encoding it gives the same bytes.
+pub trait Json: Sized {
+    /// The canonical JSON value.
+    fn to_json(&self) -> JsonValue;
+    /// Decode a value; a wrong shape, an out-of-range integer or an unknown
+    /// label is a typed error.
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError>;
+}
+
+impl Json for u64 {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::UInt(*self)
+    }
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        v.as_u64()
+    }
+}
+
+/// Narrower unsigned integers: written like `u64`, read with one range check.
+macro_rules! narrow_uint {
+    ($($t:ty),*) => {$(
+        impl Json for $t {
+            fn to_json(&self) -> JsonValue {
+                JsonValue::UInt(*self as u64)
+            }
+            fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+                let n = v.as_u64()?;
+                <$t>::try_from(n)
+                    .map_err(|_| JsonError(format!("{n} out of range for {}", stringify!($t))))
+            }
+        }
+    )*};
+}
+narrow_uint!(u32, u8, usize);
+
+impl Json for f64 {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Float(*self)
+    }
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        v.as_f64()
+    }
+}
+
+impl Json for bool {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Bool(*self)
+    }
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        v.as_bool()
+    }
+}
+
+impl Json for String {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Str(self.clone())
+    }
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        v.as_str().map(str::to_string)
+    }
+}
+
+/// Simulated time as exact picoseconds.
+impl Json for Duration {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::UInt(self.as_ps())
+    }
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        Ok(Duration::from_ps(v.as_u64()?))
+    }
+}
+
+/// A rate as exact bits per second.
+impl Json for Bandwidth {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::UInt(self.as_bps())
+    }
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        Ok(Bandwidth::from_bps(v.as_u64()?))
+    }
+}
+
+/// Host wall time as whole nanoseconds, saturating at `u64::MAX`.
+impl Json for std::time::Duration {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::UInt(self.as_nanos().min(u64::MAX as u128) as u64)
+    }
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        Ok(std::time::Duration::from_nanos(v.as_u64()?))
+    }
+}
+
+/// `None` is `null`.
+impl<T: Json> Json for Option<T> {
+    fn to_json(&self) -> JsonValue {
+        match self {
+            Some(x) => x.to_json(),
+            None => JsonValue::Null,
+        }
+    }
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        match v {
+            JsonValue::Null => Ok(None),
+            other => T::from_json(other).map(Some),
+        }
+    }
+}
+
+impl<T: Json> Json for Vec<T> {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Array(self.iter().map(T::to_json).collect())
+    }
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        v.as_array()?.iter().map(T::from_json).collect()
+    }
+}
+
+impl<T: Json> Json for Box<T> {
+    fn to_json(&self) -> JsonValue {
+        (**self).to_json()
+    }
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        T::from_json(v).map(Box::new)
+    }
+}
+
+/// Encodes a borrowed value in place; decodes to an owned one.
+impl<T: Json + Clone> Json for Cow<'_, T> {
+    fn to_json(&self) -> JsonValue {
+        (**self).to_json()
+    }
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        T::from_json(v).map(Cow::Owned)
+    }
+}
+
+/// Write row `("key", value)`.
+pub(crate) fn put<T: Json>(out: &mut Vec<(String, JsonValue)>, key: &str, value: &T) {
+    out.push((key.to_string(), value.to_json()));
+}
+
+/// Write row `("key", value, optional)`: nothing when `value` is the default.
+pub(crate) fn put_unless_default<T: Json + Default + PartialEq>(
+    out: &mut Vec<(String, JsonValue)>,
+    key: &str,
+    value: &T,
+) {
+    if *value != T::default() {
+        put(out, key, value);
+    }
+}
+
+/// Write row `(.., value)`: the members of `value`'s object, in place.
+pub(crate) fn splice<T: Json>(out: &mut Vec<(String, JsonValue)>, value: &T) {
+    if let JsonValue::Object(members) = value.to_json() {
+        out.extend(members);
+    }
+}
+
+/// Read required member `key` of object `v`.
+pub(crate) fn field<T: Json>(v: &JsonValue, key: &str) -> Result<T, JsonError> {
+    T::from_json(v.require(key)?).map_err(|e| JsonError(format!("{key}: {}", e.0)))
+}
+
+/// Read member `key` of object `v`, or the default when it is absent.
+pub(crate) fn field_or_default<T: Json + Default>(
+    v: &JsonValue,
+    key: &str,
+) -> Result<T, JsonError> {
+    match v.get(key) {
+        Some(x) => T::from_json(x).map_err(|e| JsonError(format!("{key}: {}", e.0))),
+        None => Ok(T::default()),
+    }
+}
+
+/// Encode one field-table row into `$out` (see the [module docs](self)).
+macro_rules! json_put {
+    ($out:ident, .., $value:expr) => {
+        $crate::json::splice(&mut $out, $value)
+    };
+    ($out:ident, $key:literal, $value:expr) => {
+        $crate::json::put(&mut $out, $key, $value)
+    };
+    ($out:ident, $key:literal, $value:expr, optional) => {
+        $crate::json::put_unless_default(&mut $out, $key, $value)
+    };
+    ($out:ident, $key:literal, $value:expr, defaulted) => {
+        $crate::json::put(&mut $out, $key, $value)
+    };
+}
+
+/// Decode one field-table row out of object `$v`.
+macro_rules! json_get {
+    ($v:ident, ..) => {
+        $crate::json::Json::from_json($v)?
+    };
+    ($v:ident, $key:literal) => {
+        $crate::json::field($v, $key)?
+    };
+    ($v:ident, $key:literal, optional) => {
+        $crate::json::field_or_default($v, $key)?
+    };
+    ($v:ident, $key:literal, defaulted) => {
+        $crate::json::field_or_default($v, $key)?
+    };
+}
+
+/// Derive [`Json`] for a record from its field table:
+///
+/// ```ignore
+/// json_record! { Percentiles { ("count", count), ("p50", p50), ... } }
+/// ```
+///
+/// Fields that never cross the wire are listed after `skip` with the value
+/// a decoded record carries. A type that is not a plain struct (a tuple)
+/// names a pattern that binds the row fields and rebuilds the value:
+/// `json_record! { (u8, Stats) = (prio, stats) { ("prio", prio), ... } }`.
+macro_rules! json_record {
+    ($ty:ty {
+        $( ($key:tt, $field:ident $(, $mode:ident)?) ),* $(,)?
+    } $( skip { $($skip:ident: $value:expr),* $(,)? } )?) => {
+        impl $crate::json::Json for $ty {
+            fn to_json(&self) -> $crate::json::JsonValue {
+                let mut out = Vec::new();
+                $( $crate::json::json_put!(out, $key, &self.$field $(, $mode)?); )*
+                $crate::json::JsonValue::Object(out)
+            }
+            fn from_json(v: &$crate::json::JsonValue) -> Result<Self, $crate::json::JsonError> {
+                Ok(Self {
+                    $( $field: $crate::json::json_get!(v, $key $(, $mode)?), )*
+                    $( $( $skip: $value, )* )?
+                })
+            }
+        }
+    };
+    ($ty:ty = $pattern:tt {
+        $( ($key:tt, $field:ident $(, $mode:ident)?) ),* $(,)?
+    }) => {
+        #[allow(unused_parens)]
+        impl $crate::json::Json for $ty {
+            fn to_json(&self) -> $crate::json::JsonValue {
+                let mut out = Vec::new();
+                let $pattern = self;
+                $( $crate::json::json_put!(out, $key, $field $(, $mode)?); )*
+                $crate::json::JsonValue::Object(out)
+            }
+            fn from_json(v: &$crate::json::JsonValue) -> Result<Self, $crate::json::JsonError> {
+                $( let $field = $crate::json::json_get!(v, $key $(, $mode)?); )*
+                Ok($pattern)
+            }
+        }
+    };
+}
+
+/// Derive [`Json`] for an enum written as an object tagged by `$tag`: each
+/// variant names its tag value, a pattern binding its row fields (which
+/// also rebuilds the variant), and its field table.
+///
+/// ```ignore
+/// json_tagged! { CcSpec, ("kind", "cc") {
+///     "Label" => (CcSpec::Label(label)) { ("label", label) },
+///     "Hpcc" => (CcSpec::Hpcc(cfg)) { (.., cfg) },
+/// } }
+/// ```
+///
+/// An unknown tag is the error `unknown <what> <tag> "<value>"`.
+macro_rules! json_tagged {
+    ($ty:ty, ($tag:literal, $what:literal) {
+        $( $name:literal => $pattern:tt {
+            $( ($key:tt, $field:ident $(, $mode:ident)?) ),* $(,)?
+        } ),* $(,)?
+    }) => {
+        #[allow(unused_parens)]
+        impl $crate::json::Json for $ty {
+            fn to_json(&self) -> $crate::json::JsonValue {
+                let mut out = Vec::new();
+                match self {
+                    $( $pattern => {
+                        out.push(($tag.to_string(), $crate::json::JsonValue::Str($name.to_string())));
+                        $( $crate::json::json_put!(out, $key, $field $(, $mode)?); )*
+                    } )*
+                }
+                $crate::json::JsonValue::Object(out)
+            }
+            fn from_json(v: &$crate::json::JsonValue) -> Result<Self, $crate::json::JsonError> {
+                match v.require($tag)?.as_str()? {
+                    $( $name => {
+                        $( let $field = $crate::json::json_get!(v, $key $(, $mode)?); )*
+                        Ok($pattern)
+                    } )*
+                    other => Err($crate::json::JsonError(format!(
+                        "unknown {} {} {other:?}", $what, $tag
+                    ))),
+                }
+            }
+        }
+    };
+}
+
+/// Derive [`Json`] for a fieldless enum written as a bare label string. A
+/// value naming no variant is the error `unknown <what> <value>`.
+macro_rules! json_labels {
+    ($ty:ty, $what:literal { $( $label:literal => $variant:path ),* $(,)? }) => {
+        impl $crate::json::Json for $ty {
+            fn to_json(&self) -> $crate::json::JsonValue {
+                let label = match self {
+                    $( $variant => $label, )*
+                };
+                $crate::json::JsonValue::Str(label.to_string())
+            }
+            fn from_json(v: &$crate::json::JsonValue) -> Result<Self, $crate::json::JsonError> {
+                match v {
+                    $( $crate::json::JsonValue::Str(s) if s == $label => Ok($variant), )*
+                    other => Err($crate::json::JsonError(format!(
+                        "unknown {} {}", $what, other.render()
+                    ))),
+                }
+            }
+        }
+    };
+}
+
+pub(crate) use {json_get, json_labels, json_put, json_record, json_tagged};
 
 fn render_string(text: &str, s: &mut String) {
     s.push('"');
@@ -509,6 +849,26 @@ mod tests {
         ] {
             assert!(JsonValue::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn leaf_codecs_check_ranges_and_saturate() {
+        assert_eq!(u8::from_json(&JsonValue::UInt(255)), Ok(255));
+        let e = u8::from_json(&JsonValue::UInt(256)).expect_err("256 is not a u8");
+        assert!(e.0.contains("out of range for u8"), "{e}");
+        let wide = JsonValue::UInt(u32::MAX as u64 + 1);
+        assert!(u32::from_json(&wide).is_err());
+        assert_eq!(u64::from_json(&wide), Ok(u32::MAX as u64 + 1));
+        // Wall time saturates instead of wrapping.
+        assert_eq!(
+            std::time::Duration::MAX.to_json(),
+            JsonValue::UInt(u64::MAX)
+        );
+        assert_eq!(Option::<u64>::from_json(&JsonValue::Null), Ok(None));
+        assert_eq!(
+            Vec::<u8>::from_json(&JsonValue::Array(vec![JsonValue::UInt(7)])),
+            Ok(vec![7])
+        );
     }
 
     #[test]

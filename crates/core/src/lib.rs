@@ -51,6 +51,7 @@ pub use experiment::{Experiment, ExperimentBuilder, ExperimentResults};
 pub use fabric::{
     Coordinator, FabricConfig, FabricError, FabricReport, ResultLedger, WorkerConfig, WorkerSummary,
 };
+pub use json::Json;
 pub use presets::SCHEME_SET_FIG11;
 pub use scenario::{
     BackendSpec, BuildError, CcSpec, CdfSpec, FaultSpec, FlowDecl, MeasurementSpec, QueueingSpec,

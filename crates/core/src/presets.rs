@@ -10,7 +10,8 @@
 
 use crate::campaign::Campaign;
 use crate::scenario::{
-    CcSpec, CdfSpec, FaultSpec, FlowDecl, QueueingSpec, ScenarioSpec, TopologyChoice, WorkloadSpec,
+    BackendSpec, CcSpec, CdfSpec, FaultSpec, FlowDecl, QueueingSpec, ScenarioSpec, TopologyChoice,
+    WorkloadSpec,
 };
 use hpcc_cc::{CcAlgorithm, DcqcnConfig, DctcpConfig, HpccConfig, TimelyConfig};
 use hpcc_sim::{DegradedLink, EcnConfig, FlowControlMode, LinkDownMode, LinkFault, StragglerHost};
@@ -734,6 +735,32 @@ pub fn corpus_sweep(
             })
             .collect(),
     )
+}
+
+/// The CI fluid smoke (`manifests/fluid_smoke.json`): the validation grid
+/// on the fluid backend, plus the corpus sweep on both backends, so one
+/// manifest sweeps the `"backend"` key end to end. Corpus paths are
+/// repo-relative ([`CORPUS_FILES`]): run it from the repo root.
+pub fn fluid_smoke_campaign() -> Campaign {
+    let mut specs: Vec<ScenarioSpec> = validation_grid(Duration::from_ms(2), 42)
+        .into_iter()
+        .map(|s| s.with_backend(BackendSpec::Fluid))
+        .collect();
+    let corpus = corpus_sweep(
+        &CORPUS_FILES,
+        CcSpec::by_label("HPCC"),
+        Bandwidth::from_gbps(25),
+        0.3,
+        Duration::from_us(500),
+        42,
+    );
+    for spec in corpus.specs() {
+        specs.push(spec.clone());
+        let mut fluid = spec.clone().with_backend(BackendSpec::Fluid);
+        fluid.name = format!("{} (fluid)", spec.name);
+        specs.push(fluid);
+    }
+    Campaign::from_scenarios(specs)
 }
 
 #[cfg(test)]

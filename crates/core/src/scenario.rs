@@ -16,9 +16,14 @@
 //! deterministic seed stream derived from the scenario seed — so the same
 //! spec always yields the bit-identical experiment, no matter where or when
 //! it is built.
+//!
+//! The manifest JSON of every type here is one field table per type at the
+//! end of this module ([`crate::json`] explains the row forms): the table
+//! derives both the encoder and the decoder, fixes the canonical key order,
+//! and omits an optional key exactly when it holds its default.
 
 use crate::experiment::{Experiment, ExperimentBuilder, ExperimentResults, MTU_WIRE_SIZE};
-use crate::json::{obj, JsonError, JsonValue};
+use crate::json::{json_labels, json_record, json_tagged, obj, Json, JsonError, JsonValue};
 use crate::presets::scheme_by_label;
 use hpcc_cc::{CcAlgorithm, DcqcnConfig, DctcpConfig, HpccConfig, HpccReactionMode, TimelyConfig};
 use hpcc_sim::{
@@ -29,7 +34,7 @@ use hpcc_topology::{
     dumbbell, fat_tree, leaf_spine, star, testbed_pod, FatTreeParams, TopologySpec,
 };
 use hpcc_types::rng::derive_seed;
-use hpcc_types::{Bandwidth, Duration, FlowId, FlowSpec, SimTime};
+use hpcc_types::{Bandwidth, Duration, FlowId, FlowPriority, FlowSpec, SimTime};
 use hpcc_workload::trace::{TraceRecord, TraceSpec};
 use hpcc_workload::{
     fb_hadoop, fixed_size, websearch, FlowSizeCdf, IncastGenerator, LoadGenerator, LocalitySpec,
@@ -202,9 +207,8 @@ impl TopologyChoice {
 /// Which engine answers a scenario, as plain data.
 ///
 /// The JSON form is the optional `"backend"` label string (`"packet"` |
-/// `"fluid"`, see [`crate::wire::backend_to_json`]). An omitted key is
-/// canonical for [`BackendSpec::Packet`] and keeps every pre-existing
-/// manifest bit-identical. Fluid is a steady-state model: scenarios
+/// `"fluid"`). An omitted key is canonical for [`BackendSpec::Packet`] and
+/// keeps every pre-existing manifest bit-identical. Fluid is a steady-state model: scenarios
 /// combining it with features it cannot answer (fault injection,
 /// multi-class/PIAS queueing) are rejected with a typed [`BuildError`] at
 /// `try_build` time.
@@ -228,15 +232,6 @@ impl BackendSpec {
         match self {
             BackendSpec::Packet => BackendKind::Packet,
             BackendSpec::Fluid => BackendKind::Fluid,
-        }
-    }
-
-    /// Parse a wire label.
-    pub fn from_label(label: &str) -> Result<Self, JsonError> {
-        match label {
-            "packet" => Ok(BackendSpec::Packet),
-            "fluid" => Ok(BackendSpec::Fluid),
-            other => Err(JsonError(format!("unknown backend {other:?}"))),
         }
     }
 }
@@ -1151,95 +1146,9 @@ impl ScenarioSpec {
         Ok(frozen)
     }
 
-    /// Serialize to a JSON value.
-    pub fn to_json(&self) -> JsonValue {
-        let mut pairs = vec![
-            ("name", JsonValue::Str(self.name.clone())),
-            ("topology", topology_to_json(&self.topology)),
-            ("cc", cc_to_json(&self.cc)),
-            (
-                "workloads",
-                JsonValue::Array(self.workloads.iter().map(workload_to_json).collect()),
-            ),
-            ("duration_ps", JsonValue::UInt(self.duration.as_ps())),
-            ("seed", JsonValue::UInt(self.seed)),
-            (
-                "flow_control",
-                JsonValue::Str(self.flow_control.label().to_string()),
-            ),
-        ];
-        if let Some(bytes) = self.buffer_bytes {
-            pairs.push(("buffer_bytes", JsonValue::UInt(bytes)));
-        }
-        if let Some(ecn) = self.ecn {
-            pairs.push((
-                "ecn",
-                obj(vec![
-                    ("kmin_bytes", JsonValue::UInt(ecn.kmin_bytes)),
-                    ("kmax_bytes", JsonValue::UInt(ecn.kmax_bytes)),
-                    ("pmax", JsonValue::Float(ecn.pmax)),
-                ]),
-            ));
-        }
-        if let Some(q) = &self.queueing {
-            pairs.push(("queueing", queueing_to_json(q)));
-        }
-        if let Some(f) = &self.faults {
-            pairs.push(("faults", faults_to_json(f)));
-        }
-        if let Some(b) = crate::wire::backend_to_json(self.backend) {
-            pairs.push(("backend", b));
-        }
-        pairs.push(("trace", trace_to_json(&self.trace)));
-        obj(pairs)
-    }
-
     /// Serialize to a compact JSON string.
     pub fn to_json_string(&self) -> String {
         self.to_json().render()
-    }
-
-    /// Deserialize from a JSON value.
-    pub fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let mut spec = ScenarioSpec::new(
-            v.require("name")?.as_str()?,
-            topology_from_json(v.require("topology")?)?,
-            cc_from_json(v.require("cc")?)?,
-            Duration::from_ps(v.require("duration_ps")?.as_u64()?),
-        );
-        for w in v.require("workloads")?.as_array()? {
-            spec.workloads.push(workload_from_json(w)?);
-        }
-        spec.seed = v.require("seed")?.as_u64()?;
-        spec.flow_control = match v.require("flow_control")?.as_str()? {
-            "PFC" => FlowControlMode::Lossless,
-            "GBN" => FlowControlMode::LossyGoBackN,
-            "IRN" => FlowControlMode::LossyIrn,
-            other => return Err(JsonError(format!("unknown flow control {other:?}"))),
-        };
-        if let Some(bytes) = v.get("buffer_bytes") {
-            spec.buffer_bytes = Some(bytes.as_u64()?);
-        }
-        if let Some(ecn) = v.get("ecn") {
-            spec.ecn = Some(EcnConfig {
-                kmin_bytes: ecn.require("kmin_bytes")?.as_u64()?,
-                kmax_bytes: ecn.require("kmax_bytes")?.as_u64()?,
-                pmax: ecn.require("pmax")?.as_f64()?,
-            });
-        }
-        if let Some(q) = v.get("queueing") {
-            spec.queueing = Some(queueing_from_json(q)?);
-        }
-        if let Some(f) = v.get("faults") {
-            spec.faults = Some(faults_from_json(f)?);
-        }
-        if let Some(b) = v.get("backend") {
-            spec.backend = crate::wire::backend_from_json(b)?;
-        }
-        if let Some(trace) = v.get("trace") {
-            spec.trace = trace_from_json(trace)?;
-        }
-        Ok(spec)
     }
 
     /// Deserialize from a JSON string.
@@ -1248,742 +1157,321 @@ impl ScenarioSpec {
     }
 }
 
-fn bw_json(bw: Bandwidth) -> JsonValue {
-    JsonValue::UInt(bw.as_bps())
-}
+// The manifest codec: one field table per type (row forms in the
+// `crate::json` module docs). Durations are `*_ps` integers and rates
+// `*_bps` integers; optional keys are omitted exactly when they hold their
+// default, so manifests predating a key stay byte-identical.
 
-fn bw_from(v: &JsonValue) -> Result<Bandwidth, JsonError> {
-    Ok(Bandwidth::from_bps(v.as_u64()?))
-}
+json_record! { ScenarioSpec {
+    ("name", name),
+    ("topology", topology),
+    ("cc", cc),
+    ("workloads", workloads),
+    ("duration_ps", duration),
+    ("seed", seed),
+    ("flow_control", flow_control),
+    ("buffer_bytes", buffer_bytes, optional),
+    ("ecn", ecn, optional),
+    ("queueing", queueing, optional),
+    ("faults", faults, optional),
+    ("backend", backend, optional),
+    ("trace", trace, defaulted),
+} }
 
-fn dur_json(d: Duration) -> JsonValue {
-    JsonValue::UInt(d.as_ps())
-}
+json_tagged! { TopologyChoice, ("kind", "topology") {
+    "Star" => (TopologyChoice::Star { hosts, host_bw, link_delay }) {
+        ("hosts", hosts),
+        ("host_bw_bps", host_bw),
+        ("link_delay_ps", link_delay),
+    },
+    "Dumbbell" => (TopologyChoice::Dumbbell { left, right, host_bw, core_bw, link_delay }) {
+        ("left", left),
+        ("right", right),
+        ("host_bw_bps", host_bw),
+        ("core_bw_bps", core_bw),
+        ("link_delay_ps", link_delay),
+    },
+    "TestbedPod" => (TopologyChoice::TestbedPod { link_delay }) {
+        ("link_delay_ps", link_delay),
+    },
+    "LeafSpine" => (TopologyChoice::LeafSpine {
+        leaves, spines, hosts_per_leaf, host_bw, fabric_bw, link_delay
+    }) {
+        ("leaves", leaves),
+        ("spines", spines),
+        ("hosts_per_leaf", hosts_per_leaf),
+        ("host_bw_bps", host_bw),
+        ("fabric_bw_bps", fabric_bw),
+        ("link_delay_ps", link_delay),
+    },
+    "FatTree" => (TopologyChoice::FatTree(params)) { (.., params) },
+    "Corpus" => (TopologyChoice::Corpus { path, host_bw }) {
+        ("path", path),
+        ("host_bw_bps", host_bw),
+    },
+} }
 
-fn dur_from(v: &JsonValue) -> Result<Duration, JsonError> {
-    Ok(Duration::from_ps(v.as_u64()?))
-}
+json_record! { FatTreeParams {
+    ("pods", pods),
+    ("tors_per_pod", tors_per_pod),
+    ("aggs_per_pod", aggs_per_pod),
+    ("cores", cores),
+    ("hosts_per_tor", hosts_per_tor),
+    ("host_bw_bps", host_bw),
+    ("fabric_bw_bps", fabric_bw),
+    ("link_delay_ps", link_delay),
+} }
 
-fn topology_to_json(t: &TopologyChoice) -> JsonValue {
-    match *t {
-        TopologyChoice::Corpus { ref path, host_bw } => obj(vec![
-            ("kind", JsonValue::Str("Corpus".into())),
-            ("path", JsonValue::Str(path.clone())),
-            ("host_bw_bps", bw_json(host_bw)),
-        ]),
-        TopologyChoice::Star {
-            hosts,
-            host_bw,
-            link_delay,
-        } => obj(vec![
-            ("kind", JsonValue::Str("Star".into())),
-            ("hosts", JsonValue::UInt(hosts as u64)),
-            ("host_bw_bps", bw_json(host_bw)),
-            ("link_delay_ps", dur_json(link_delay)),
-        ]),
-        TopologyChoice::Dumbbell {
-            left,
-            right,
-            host_bw,
-            core_bw,
-            link_delay,
-        } => obj(vec![
-            ("kind", JsonValue::Str("Dumbbell".into())),
-            ("left", JsonValue::UInt(left as u64)),
-            ("right", JsonValue::UInt(right as u64)),
-            ("host_bw_bps", bw_json(host_bw)),
-            ("core_bw_bps", bw_json(core_bw)),
-            ("link_delay_ps", dur_json(link_delay)),
-        ]),
-        TopologyChoice::TestbedPod { link_delay } => obj(vec![
-            ("kind", JsonValue::Str("TestbedPod".into())),
-            ("link_delay_ps", dur_json(link_delay)),
-        ]),
-        TopologyChoice::LeafSpine {
-            leaves,
-            spines,
-            hosts_per_leaf,
-            host_bw,
-            fabric_bw,
-            link_delay,
-        } => obj(vec![
-            ("kind", JsonValue::Str("LeafSpine".into())),
-            ("leaves", JsonValue::UInt(leaves as u64)),
-            ("spines", JsonValue::UInt(spines as u64)),
-            ("hosts_per_leaf", JsonValue::UInt(hosts_per_leaf as u64)),
-            ("host_bw_bps", bw_json(host_bw)),
-            ("fabric_bw_bps", bw_json(fabric_bw)),
-            ("link_delay_ps", dur_json(link_delay)),
-        ]),
-        TopologyChoice::FatTree(p) => obj(vec![
-            ("kind", JsonValue::Str("FatTree".into())),
-            ("pods", JsonValue::UInt(p.pods as u64)),
-            ("tors_per_pod", JsonValue::UInt(p.tors_per_pod as u64)),
-            ("aggs_per_pod", JsonValue::UInt(p.aggs_per_pod as u64)),
-            ("cores", JsonValue::UInt(p.cores as u64)),
-            ("hosts_per_tor", JsonValue::UInt(p.hosts_per_tor as u64)),
-            ("host_bw_bps", bw_json(p.host_bw)),
-            ("fabric_bw_bps", bw_json(p.fabric_bw)),
-            ("link_delay_ps", dur_json(p.link_delay)),
-        ]),
-    }
-}
+json_tagged! { CcSpec, ("kind", "cc") {
+    "Label" => (CcSpec::Label(label)) { ("label", label) },
+    "Hpcc" => (CcSpec::Hpcc(cfg)) { (.., cfg) },
+    "DcqcnTimers" => (CcSpec::DcqcnTimers { ti, td }) {
+        ("ti_ps", ti),
+        ("td_ps", td),
+    },
+    "Timely" => (CcSpec::Timely { window, t_low, t_high, beta, hai_threshold }) {
+        ("window", window),
+        ("t_low_ps", t_low),
+        ("t_high_ps", t_high),
+        ("beta", beta),
+        ("hai_threshold", hai_threshold),
+    },
+    "Dctcp" => (CcSpec::Dctcp { g }) { ("g", g) },
+} }
 
-fn topology_from_json(v: &JsonValue) -> Result<TopologyChoice, JsonError> {
-    match v.require("kind")?.as_str()? {
-        "Star" => Ok(TopologyChoice::Star {
-            hosts: v.require("hosts")?.as_usize()?,
-            host_bw: bw_from(v.require("host_bw_bps")?)?,
-            link_delay: dur_from(v.require("link_delay_ps")?)?,
-        }),
-        "Dumbbell" => Ok(TopologyChoice::Dumbbell {
-            left: v.require("left")?.as_usize()?,
-            right: v.require("right")?.as_usize()?,
-            host_bw: bw_from(v.require("host_bw_bps")?)?,
-            core_bw: bw_from(v.require("core_bw_bps")?)?,
-            link_delay: dur_from(v.require("link_delay_ps")?)?,
-        }),
-        "TestbedPod" => Ok(TopologyChoice::TestbedPod {
-            link_delay: dur_from(v.require("link_delay_ps")?)?,
-        }),
-        "LeafSpine" => Ok(TopologyChoice::LeafSpine {
-            leaves: v.require("leaves")?.as_usize()?,
-            spines: v.require("spines")?.as_usize()?,
-            hosts_per_leaf: v.require("hosts_per_leaf")?.as_usize()?,
-            host_bw: bw_from(v.require("host_bw_bps")?)?,
-            fabric_bw: bw_from(v.require("fabric_bw_bps")?)?,
-            link_delay: dur_from(v.require("link_delay_ps")?)?,
-        }),
-        "FatTree" => Ok(TopologyChoice::FatTree(FatTreeParams {
-            pods: v.require("pods")?.as_usize()?,
-            tors_per_pod: v.require("tors_per_pod")?.as_usize()?,
-            aggs_per_pod: v.require("aggs_per_pod")?.as_usize()?,
-            cores: v.require("cores")?.as_usize()?,
-            hosts_per_tor: v.require("hosts_per_tor")?.as_usize()?,
-            host_bw: bw_from(v.require("host_bw_bps")?)?,
-            fabric_bw: bw_from(v.require("fabric_bw_bps")?)?,
-            link_delay: dur_from(v.require("link_delay_ps")?)?,
-        })),
-        "Corpus" => Ok(TopologyChoice::Corpus {
-            path: v.require("path")?.as_str()?.to_string(),
-            host_bw: bw_from(v.require("host_bw_bps")?)?,
-        }),
-        other => Err(JsonError(format!("unknown topology kind {other:?}"))),
-    }
-}
+json_record! { HpccConfig {
+    ("eta", eta),
+    ("max_stage", max_stage),
+    ("wai", wai),
+    ("mode", mode),
+    ("use_rx_rate", use_rx_rate),
+    ("min_rate_bps", min_rate),
+} }
 
-fn cc_to_json(cc: &CcSpec) -> JsonValue {
-    match cc {
-        CcSpec::Label(label) => obj(vec![
-            ("kind", JsonValue::Str("Label".into())),
-            ("label", JsonValue::Str(label.clone())),
-        ]),
-        CcSpec::Hpcc(cfg) => obj(vec![
-            ("kind", JsonValue::Str("Hpcc".into())),
-            ("eta", JsonValue::Float(cfg.eta)),
-            ("max_stage", JsonValue::UInt(cfg.max_stage as u64)),
-            ("wai", JsonValue::UInt(cfg.wai)),
-            (
-                "mode",
-                JsonValue::Str(
-                    match cfg.mode {
-                        HpccReactionMode::Combined => "Combined",
-                        HpccReactionMode::PerAck => "PerAck",
-                        HpccReactionMode::PerRtt => "PerRtt",
-                    }
-                    .into(),
-                ),
-            ),
-            ("use_rx_rate", JsonValue::Bool(cfg.use_rx_rate)),
-            ("min_rate_bps", bw_json(cfg.min_rate)),
-        ]),
-        CcSpec::DcqcnTimers { ti, td } => obj(vec![
-            ("kind", JsonValue::Str("DcqcnTimers".into())),
-            ("ti_ps", dur_json(*ti)),
-            ("td_ps", dur_json(*td)),
-        ]),
-        CcSpec::Timely {
-            window,
-            t_low,
-            t_high,
-            beta,
-            hai_threshold,
-        } => obj(vec![
-            ("kind", JsonValue::Str("Timely".into())),
-            ("window", JsonValue::Bool(*window)),
-            ("t_low_ps", dur_json(*t_low)),
-            ("t_high_ps", dur_json(*t_high)),
-            ("beta", JsonValue::Float(*beta)),
-            ("hai_threshold", JsonValue::UInt(*hai_threshold as u64)),
-        ]),
-        CcSpec::Dctcp { g } => obj(vec![
-            ("kind", JsonValue::Str("Dctcp".into())),
-            ("g", JsonValue::Float(*g)),
-        ]),
-    }
-}
+json_labels! { HpccReactionMode, "HPCC mode" {
+    "Combined" => HpccReactionMode::Combined,
+    "PerAck" => HpccReactionMode::PerAck,
+    "PerRtt" => HpccReactionMode::PerRtt,
+} }
 
-fn cc_from_json(v: &JsonValue) -> Result<CcSpec, JsonError> {
-    match v.require("kind")?.as_str()? {
-        "Label" => Ok(CcSpec::Label(v.require("label")?.as_str()?.to_string())),
-        "Hpcc" => Ok(CcSpec::Hpcc(HpccConfig {
-            eta: v.require("eta")?.as_f64()?,
-            max_stage: v.require("max_stage")?.as_u64()? as u32,
-            wai: v.require("wai")?.as_u64()?,
-            mode: match v.require("mode")?.as_str()? {
-                "Combined" => HpccReactionMode::Combined,
-                "PerAck" => HpccReactionMode::PerAck,
-                "PerRtt" => HpccReactionMode::PerRtt,
-                other => return Err(JsonError(format!("unknown HPCC mode {other:?}"))),
-            },
-            use_rx_rate: v.require("use_rx_rate")?.as_bool()?,
-            min_rate: bw_from(v.require("min_rate_bps")?)?,
-        })),
-        "DcqcnTimers" => Ok(CcSpec::DcqcnTimers {
-            ti: dur_from(v.require("ti_ps")?)?,
-            td: dur_from(v.require("td_ps")?)?,
-        }),
-        "Timely" => Ok(CcSpec::Timely {
-            window: v.require("window")?.as_bool()?,
-            t_low: dur_from(v.require("t_low_ps")?)?,
-            t_high: dur_from(v.require("t_high_ps")?)?,
-            beta: v.require("beta")?.as_f64()?,
-            hai_threshold: {
-                let t = v.require("hai_threshold")?.as_u64()?;
-                if t > u32::MAX as u64 {
-                    return Err(JsonError(format!("hai_threshold {t} out of range")));
-                }
-                t as u32
-            },
-        }),
-        "Dctcp" => Ok(CcSpec::Dctcp {
-            g: v.require("g")?.as_f64()?,
-        }),
-        other => Err(JsonError(format!("unknown cc kind {other:?}"))),
-    }
-}
-
-fn cdf_to_json(cdf: &CdfSpec) -> JsonValue {
-    match cdf {
-        CdfSpec::WebSearch => JsonValue::Str("WebSearch".into()),
-        CdfSpec::FbHadoop => JsonValue::Str("FB_Hadoop".into()),
-        CdfSpec::Fixed(size) => obj(vec![("fixed", JsonValue::UInt(*size))]),
-        CdfSpec::Custom(points) => obj(vec![(
-            "custom",
-            JsonValue::Array(
-                points
+/// A bare trace name (`"WebSearch"`, `"FB_Hadoop"`), or an object with one
+/// member: `{"fixed": bytes}` or `{"custom": [[size, prob], ...]}`.
+impl Json for CdfSpec {
+    fn to_json(&self) -> JsonValue {
+        match self {
+            CdfSpec::WebSearch => JsonValue::Str("WebSearch".into()),
+            CdfSpec::FbHadoop => JsonValue::Str("FB_Hadoop".into()),
+            CdfSpec::Fixed(size) => obj(vec![("fixed", size.to_json())]),
+            CdfSpec::Custom(points) => {
+                let points = points
                     .iter()
-                    .map(|(size, p)| {
-                        JsonValue::Array(vec![JsonValue::UInt(*size), JsonValue::Float(*p)])
+                    .map(|(size, p)| JsonValue::Array(vec![size.to_json(), p.to_json()]))
+                    .collect();
+                obj(vec![("custom", JsonValue::Array(points))])
+            }
+        }
+    }
+
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        match v {
+            JsonValue::Str(name) if name == "WebSearch" => Ok(CdfSpec::WebSearch),
+            JsonValue::Str(name) if name == "FB_Hadoop" => Ok(CdfSpec::FbHadoop),
+            JsonValue::Str(other) => Err(JsonError(format!("unknown cdf {other:?}"))),
+            _ => match (v.get("fixed"), v.get("custom")) {
+                (Some(size), _) => Ok(CdfSpec::Fixed(u64::from_json(size)?)),
+                (None, Some(points)) => points
+                    .as_array()?
+                    .iter()
+                    .map(|p| match p.as_array()? {
+                        [size, prob] => Ok((u64::from_json(size)?, f64::from_json(prob)?)),
+                        _ => Err(JsonError("cdf point must be [size, prob]".into())),
                     })
-                    .collect(),
-            ),
-        )]),
-    }
-}
-
-fn cdf_from_json(v: &JsonValue) -> Result<CdfSpec, JsonError> {
-    if let Ok(name) = v.as_str() {
-        return match name {
-            "WebSearch" => Ok(CdfSpec::WebSearch),
-            "FB_Hadoop" => Ok(CdfSpec::FbHadoop),
-            other => Err(JsonError(format!("unknown cdf {other:?}"))),
-        };
-    }
-    if let Some(size) = v.get("fixed") {
-        return Ok(CdfSpec::Fixed(size.as_u64()?));
-    }
-    if let Some(points) = v.get("custom") {
-        let mut out = Vec::new();
-        for p in points.as_array()? {
-            let pair = p.as_array()?;
-            if pair.len() != 2 {
-                return Err(JsonError("cdf point must be [size, prob]".into()));
-            }
-            out.push((pair[0].as_u64()?, pair[1].as_f64()?));
-        }
-        return Ok(CdfSpec::Custom(out));
-    }
-    Err(JsonError("unrecognized cdf spec".into()))
-}
-
-fn pair_to_json(p: &PairSpec) -> JsonValue {
-    // `PairSpec::name` is the single source of the kind tags, shared with
-    // display code; `pair_from_json` matches the same strings.
-    let kind = ("kind", JsonValue::Str(p.name().into()));
-    match p {
-        PairSpec::Uniform => obj(vec![kind]),
-        PairSpec::Locality(LocalitySpec::IntraRack { fraction }) => {
-            obj(vec![kind, ("fraction", JsonValue::Float(*fraction))])
-        }
-        PairSpec::Locality(LocalitySpec::Matrix { rows }) => obj(vec![
-            kind,
-            (
-                "rows",
-                JsonValue::Array(
-                    rows.iter()
-                        .map(|row| {
-                            JsonValue::Array(row.iter().map(|p| JsonValue::Float(*p)).collect())
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
-        PairSpec::Skew(s) => obj(vec![kind, ("exponent", JsonValue::Float(s.exponent))]),
-    }
-}
-
-fn pair_from_json(v: &JsonValue) -> Result<PairSpec, JsonError> {
-    match v.require("kind")?.as_str()? {
-        "Uniform" => Ok(PairSpec::Uniform),
-        "IntraRack" => Ok(PairSpec::Locality(LocalitySpec::IntraRack {
-            fraction: v.require("fraction")?.as_f64()?,
-        })),
-        "Matrix" => {
-            let mut rows = Vec::new();
-            for row in v.require("rows")?.as_array()? {
-                let mut out = Vec::new();
-                for p in row.as_array()? {
-                    out.push(p.as_f64()?);
-                }
-                rows.push(out);
-            }
-            Ok(PairSpec::Locality(LocalitySpec::Matrix { rows }))
-        }
-        "Skew" => Ok(PairSpec::Skew(SkewSpec::new(
-            v.require("exponent")?.as_f64()?,
-        ))),
-        other => Err(JsonError(format!("unknown pair kind {other:?}"))),
-    }
-}
-
-/// A trace record as the compact array `[start_ps, src, dst, bytes, prio]`
-/// (exact picosecond integers; `prio` is the [`hpcc_types::FlowPriority`]
-/// wire code: 0 = normal, 1 = latency-sensitive, 2+c = data class c).
-fn trace_record_to_json(r: &TraceRecord) -> JsonValue {
-    JsonValue::Array(vec![
-        JsonValue::UInt(r.start.as_ps()),
-        JsonValue::UInt(r.src as u64),
-        JsonValue::UInt(r.dst as u64),
-        JsonValue::UInt(r.bytes),
-        JsonValue::UInt(r.prio.wire_code() as u64),
-    ])
-}
-
-fn trace_record_from_json(v: &JsonValue) -> Result<TraceRecord, JsonError> {
-    let parts = v.as_array()?;
-    if parts.len() != 5 {
-        return Err(JsonError(
-            "trace record must be [start_ps, src, dst, bytes, prio]".into(),
-        ));
-    }
-    let mut r = TraceRecord::new(
-        Duration::from_ps(parts[0].as_u64()?),
-        parts[1].as_usize()?,
-        parts[2].as_usize()?,
-        parts[3].as_u64()?,
-    );
-    let code = parts[4].as_u64()?;
-    if code > 1 + hpcc_types::Priority::MAX_DATA_CLASSES as u64 {
-        return Err(JsonError(format!("unknown trace priority {code}")));
-    }
-    r.prio = hpcc_types::FlowPriority::from_wire_code(code as u8);
-    Ok(r)
-}
-
-/// Serialize a [`PrioritySpec`]; the default is canonical-omitted by the
-/// caller, so this only sees non-default stages.
-fn prio_spec_to_json(p: &PrioritySpec) -> JsonValue {
-    match p {
-        PrioritySpec::Normal => obj(vec![("kind", JsonValue::Str("Normal".into()))]),
-        PrioritySpec::Uniform(fp) => obj(vec![
-            ("kind", JsonValue::Str("Uniform".into())),
-            ("prio", JsonValue::UInt(fp.wire_code() as u64)),
-        ]),
-        PrioritySpec::ShortFlows { threshold } => obj(vec![
-            ("kind", JsonValue::Str("ShortFlows".into())),
-            ("threshold", JsonValue::UInt(*threshold)),
-        ]),
-    }
-}
-
-fn prio_spec_from_json(v: &JsonValue) -> Result<PrioritySpec, JsonError> {
-    match v.require("kind")?.as_str()? {
-        "Normal" => Ok(PrioritySpec::Normal),
-        "Uniform" => {
-            let code = v.require("prio")?.as_u64()?;
-            if code > 1 + hpcc_types::Priority::MAX_DATA_CLASSES as u64 {
-                return Err(JsonError(format!("unknown priority code {code}")));
-            }
-            Ok(PrioritySpec::Uniform(
-                hpcc_types::FlowPriority::from_wire_code(code as u8),
-            ))
-        }
-        "ShortFlows" => Ok(PrioritySpec::ShortFlows {
-            threshold: v.require("threshold")?.as_u64()?,
-        }),
-        other => Err(JsonError(format!("unknown priority kind {other:?}"))),
-    }
-}
-
-fn workload_to_json(w: &WorkloadSpec) -> JsonValue {
-    match w {
-        WorkloadSpec::Poisson {
-            cdf,
-            load,
-            first_flow_id,
-            pairs,
-            prio,
-        } => {
-            let mut fields = vec![
-                ("kind", JsonValue::Str("Poisson".into())),
-                ("cdf", cdf_to_json(cdf)),
-                ("load", JsonValue::Float(*load)),
-                ("first_flow_id", JsonValue::UInt(*first_flow_id)),
-            ];
-            // Uniform pairs and normal priorities are the defaults and are
-            // omitted, so pre-existing manifests and their canonical
-            // renderings stay byte-stable.
-            if *pairs != PairSpec::Uniform {
-                fields.push(("pairs", pair_to_json(pairs)));
-            }
-            if !prio.is_default() {
-                fields.push(("prio", prio_spec_to_json(prio)));
-            }
-            obj(fields)
-        }
-        WorkloadSpec::Incast {
-            fan_in,
-            flow_size,
-            capacity_fraction,
-            first_flow_id,
-        } => obj(vec![
-            ("kind", JsonValue::Str("Incast".into())),
-            ("fan_in", JsonValue::UInt(*fan_in as u64)),
-            ("flow_size", JsonValue::UInt(*flow_size)),
-            ("capacity_fraction", JsonValue::Float(*capacity_fraction)),
-            ("first_flow_id", JsonValue::UInt(*first_flow_id)),
-        ]),
-        WorkloadSpec::Explicit(decls) => obj(vec![
-            ("kind", JsonValue::Str("Explicit".into())),
-            (
-                "flows",
-                JsonValue::Array(
-                    decls
-                        .iter()
-                        .map(|d| {
-                            obj(vec![
-                                ("id", JsonValue::UInt(d.id)),
-                                ("src_host", JsonValue::UInt(d.src_host as u64)),
-                                ("dst_host", JsonValue::UInt(d.dst_host as u64)),
-                                ("size", JsonValue::UInt(d.size)),
-                                ("start_ps", dur_json(d.start)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
-        WorkloadSpec::Trace {
-            trace,
-            first_flow_id,
-        } => {
-            let mut fields = vec![
-                ("kind", JsonValue::Str("Trace".into())),
-                ("first_flow_id", JsonValue::UInt(*first_flow_id)),
-            ];
-            match trace {
-                TraceSpec::Path(path) => fields.push(("path", JsonValue::Str(path.clone()))),
-                TraceSpec::Inline(records) => fields.push((
-                    "records",
-                    JsonValue::Array(records.iter().map(trace_record_to_json).collect()),
-                )),
-            }
-            obj(fields)
-        }
-    }
-}
-
-fn workload_from_json(v: &JsonValue) -> Result<WorkloadSpec, JsonError> {
-    match v.require("kind")?.as_str()? {
-        "Poisson" => Ok(WorkloadSpec::Poisson {
-            cdf: cdf_from_json(v.require("cdf")?)?,
-            load: v.require("load")?.as_f64()?,
-            first_flow_id: v.require("first_flow_id")?.as_u64()?,
-            pairs: match v.get("pairs") {
-                Some(p) => pair_from_json(p)?,
-                None => PairSpec::Uniform,
+                    .collect::<Result<_, _>>()
+                    .map(CdfSpec::Custom),
+                (None, None) => Err(JsonError("unrecognized cdf spec".into())),
             },
-            prio: match v.get("prio") {
-                Some(p) => prio_spec_from_json(p)?,
-                None => PrioritySpec::default(),
-            },
-        }),
-        "Incast" => Ok(WorkloadSpec::Incast {
-            fan_in: v.require("fan_in")?.as_usize()?,
-            flow_size: v.require("flow_size")?.as_u64()?,
-            capacity_fraction: v.require("capacity_fraction")?.as_f64()?,
-            first_flow_id: v.require("first_flow_id")?.as_u64()?,
-        }),
-        "Explicit" => {
-            let mut decls = Vec::new();
-            for d in v.require("flows")?.as_array()? {
-                decls.push(FlowDecl::new(
-                    d.require("id")?.as_u64()?,
-                    d.require("src_host")?.as_usize()?,
-                    d.require("dst_host")?.as_usize()?,
-                    d.require("size")?.as_u64()?,
-                    dur_from(d.require("start_ps")?)?,
-                ));
-            }
-            Ok(WorkloadSpec::Explicit(decls))
         }
-        "Trace" => {
-            let first_flow_id = v.require("first_flow_id")?.as_u64()?;
-            let trace = match (v.get("path"), v.get("records")) {
-                (Some(path), None) => TraceSpec::Path(path.as_str()?.to_string()),
-                (None, Some(records)) => {
-                    let mut out = Vec::new();
-                    for r in records.as_array()? {
-                        out.push(trace_record_from_json(r)?);
-                    }
-                    TraceSpec::Inline(out)
-                }
-                _ => {
-                    return Err(JsonError(
-                        "trace workload needs exactly one of \"path\" or \"records\"".into(),
-                    ))
-                }
-            };
-            Ok(WorkloadSpec::Trace {
-                trace,
-                first_flow_id,
-            })
-        }
-        other => Err(JsonError(format!("unknown workload kind {other:?}"))),
     }
 }
 
-fn queueing_to_json(q: &QueueingSpec) -> JsonValue {
-    let mut fields = match &q.scheduler {
-        SchedulerSpec::StrictPriority { classes } => vec![
-            ("kind", JsonValue::Str("SP".into())),
-            ("classes", JsonValue::UInt(*classes as u64)),
-        ],
-        SchedulerSpec::Dwrr { weights } => vec![
-            ("kind", JsonValue::Str("DWRR".into())),
-            (
-                "weights",
-                JsonValue::Array(weights.iter().map(|&w| JsonValue::UInt(w as u64)).collect()),
-            ),
-        ],
-        SchedulerSpec::Pias { thresholds } => vec![
-            ("kind", JsonValue::Str("PIAS".into())),
-            (
-                "thresholds",
-                JsonValue::Array(thresholds.iter().map(|&t| JsonValue::UInt(t)).collect()),
-            ),
-        ],
-    };
-    if !q.ecn_scale.is_empty() {
-        fields.push((
-            "ecn_scale",
-            JsonValue::Array(q.ecn_scale.iter().map(|&s| JsonValue::Float(s)).collect()),
-        ));
+json_tagged! { PairSpec, ("kind", "pair") {
+    "Uniform" => (PairSpec::Uniform) {},
+    "IntraRack" => (PairSpec::Locality(LocalitySpec::IntraRack { fraction })) {
+        ("fraction", fraction),
+    },
+    "Matrix" => (PairSpec::Locality(LocalitySpec::Matrix { rows })) { ("rows", rows) },
+    "Skew" => (PairSpec::Skew(SkewSpec { exponent })) { ("exponent", exponent) },
+} }
+
+/// A flow priority as its wire code (0 = normal, 1 = latency-sensitive,
+/// 2 + c = data class c).
+impl Json for FlowPriority {
+    fn to_json(&self) -> JsonValue {
+        self.wire_code().to_json()
     }
-    obj(fields)
+
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let code = u8::from_json(v)?;
+        if code as usize > 1 + hpcc_types::Priority::MAX_DATA_CLASSES {
+            return Err(JsonError(format!("unknown priority code {code}")));
+        }
+        Ok(FlowPriority::from_wire_code(code))
+    }
 }
 
-fn queueing_from_json(v: &JsonValue) -> Result<QueueingSpec, JsonError> {
-    let scheduler = match v.require("kind")?.as_str()? {
-        "SP" => {
-            let classes = v.require("classes")?.as_u64()?;
-            if classes > u8::MAX as u64 {
-                return Err(JsonError(format!(
-                    "queueing classes {classes} out of range"
-                )));
-            }
-            SchedulerSpec::StrictPriority {
-                classes: classes as u8,
-            }
-        }
-        "DWRR" => {
-            let mut weights = Vec::new();
-            for w in v.require("weights")?.as_array()? {
-                let w = w.as_u64()?;
-                if w > u32::MAX as u64 {
-                    return Err(JsonError(format!("DWRR weight {w} out of range")));
-                }
-                weights.push(w as u32);
-            }
-            SchedulerSpec::Dwrr { weights }
-        }
-        "PIAS" => {
-            let mut thresholds = Vec::new();
-            for t in v.require("thresholds")?.as_array()? {
-                thresholds.push(t.as_u64()?);
-            }
-            SchedulerSpec::Pias { thresholds }
-        }
-        other => return Err(JsonError(format!("unknown queueing kind {other:?}"))),
-    };
-    let mut ecn_scale = Vec::new();
-    if let Some(scale) = v.get("ecn_scale") {
-        for s in scale.as_array()? {
-            ecn_scale.push(s.as_f64()?);
+json_tagged! { PrioritySpec, ("kind", "priority") {
+    "Normal" => (PrioritySpec::Normal) {},
+    "Uniform" => (PrioritySpec::Uniform(prio)) { ("prio", prio) },
+    "ShortFlows" => (PrioritySpec::ShortFlows { threshold }) { ("threshold", threshold) },
+} }
+
+json_tagged! { WorkloadSpec, ("kind", "workload") {
+    "Poisson" => (WorkloadSpec::Poisson { cdf, load, first_flow_id, pairs, prio }) {
+        ("cdf", cdf),
+        ("load", load),
+        ("first_flow_id", first_flow_id),
+        ("pairs", pairs, optional),
+        ("prio", prio, optional),
+    },
+    "Incast" => (WorkloadSpec::Incast { fan_in, flow_size, capacity_fraction, first_flow_id }) {
+        ("fan_in", fan_in),
+        ("flow_size", flow_size),
+        ("capacity_fraction", capacity_fraction),
+        ("first_flow_id", first_flow_id),
+    },
+    "Explicit" => (WorkloadSpec::Explicit(flows)) { ("flows", flows) },
+    "Trace" => (WorkloadSpec::Trace { trace, first_flow_id }) {
+        ("first_flow_id", first_flow_id),
+        (.., trace),
+    },
+} }
+
+json_record! { FlowDecl {
+    ("id", id),
+    ("src_host", src_host),
+    ("dst_host", dst_host),
+    ("size", size),
+    ("start_ps", start),
+} }
+
+/// The members a trace workload adds: exactly one of `{"path": file}` and
+/// `{"records": [record, ...]}`.
+impl Json for TraceSpec {
+    fn to_json(&self) -> JsonValue {
+        match self {
+            TraceSpec::Path(path) => obj(vec![("path", path.to_json())]),
+            TraceSpec::Inline(records) => obj(vec![("records", records.to_json())]),
         }
     }
-    Ok(QueueingSpec {
-        scheduler,
-        ecn_scale,
-    })
+
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        match (v.get("path"), v.get("records")) {
+            (Some(path), None) => String::from_json(path).map(TraceSpec::Path),
+            (None, Some(records)) => Vec::from_json(records).map(TraceSpec::Inline),
+            _ => Err(JsonError(
+                "trace workload needs exactly one of \"path\" or \"records\"".into(),
+            )),
+        }
+    }
 }
 
-fn faults_to_json(f: &FaultSpec) -> JsonValue {
-    let mut fields = Vec::new();
-    if !f.link_faults.is_empty() {
-        fields.push((
-            "links",
-            JsonValue::Array(
-                f.link_faults
-                    .iter()
-                    .map(|f| {
-                        obj(vec![
-                            ("link", JsonValue::UInt(f.link as u64)),
-                            ("at_ps", dur_json(f.at)),
-                            ("down_for_ps", dur_json(f.down_for)),
-                            ("flaps", JsonValue::UInt(f.flaps as u64)),
-                            ("period_ps", dur_json(f.period)),
-                            ("mode", JsonValue::Str(f.mode.label().into())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
+/// A trace record as the compact array `[start_ps, src, dst, bytes, prio]`.
+impl Json for TraceRecord {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Array(vec![
+            self.start.to_json(),
+            self.src.to_json(),
+            self.dst.to_json(),
+            self.bytes.to_json(),
+            self.prio.to_json(),
+        ])
     }
-    if !f.degraded_links.is_empty() {
-        fields.push((
-            "degraded",
-            JsonValue::Array(
-                f.degraded_links
-                    .iter()
-                    .map(|d| {
-                        obj(vec![
-                            ("link", JsonValue::UInt(d.link as u64)),
-                            ("from_ps", dur_json(d.from)),
-                            ("until_ps", dur_json(d.until)),
-                            ("extra_delay_ps", dur_json(d.extra_delay)),
-                            ("loss", JsonValue::Float(d.loss)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-    }
-    if !f.stragglers.is_empty() {
-        fields.push((
-            "stragglers",
-            JsonValue::Array(
-                f.stragglers
-                    .iter()
-                    .map(|s| {
-                        obj(vec![
-                            ("host", JsonValue::UInt(s.host as u64)),
-                            ("from_ps", dur_json(s.from)),
-                            ("until_ps", dur_json(s.until)),
-                            ("rate_factor", JsonValue::Float(s.rate_factor)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-    }
-    obj(fields)
-}
 
-fn faults_from_json(v: &JsonValue) -> Result<FaultSpec, JsonError> {
-    let mut spec = FaultSpec::new();
-    if let Some(links) = v.get("links") {
-        for f in links.as_array()? {
-            spec.link_faults.push(LinkFault {
-                link: f.require("link")?.as_usize()?,
-                at: dur_from(f.require("at_ps")?)?,
-                down_for: dur_from(f.require("down_for_ps")?)?,
-                flaps: {
-                    let n = f.require("flaps")?.as_u64()?;
-                    if n > u32::MAX as u64 {
-                        return Err(JsonError(format!("flap count {n} out of range")));
-                    }
-                    n as u32
-                },
-                period: dur_from(f.require("period_ps")?)?,
-                mode: match f.require("mode")?.as_str()? {
-                    "Drop" => LinkDownMode::Drop,
-                    "Pause" => LinkDownMode::Pause,
-                    other => {
-                        return Err(JsonError(format!("unknown link-down mode {other:?}")));
-                    }
-                },
-            });
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        match v.as_array()? {
+            [start, src, dst, bytes, prio] => Ok(TraceRecord {
+                start: Json::from_json(start)?,
+                src: Json::from_json(src)?,
+                dst: Json::from_json(dst)?,
+                bytes: Json::from_json(bytes)?,
+                prio: Json::from_json(prio)?,
+            }),
+            _ => Err(JsonError(
+                "trace record must be [start_ps, src, dst, bytes, prio]".into(),
+            )),
         }
     }
-    if let Some(degraded) = v.get("degraded") {
-        for d in degraded.as_array()? {
-            spec.degraded_links.push(DegradedLink {
-                link: d.require("link")?.as_usize()?,
-                from: dur_from(d.require("from_ps")?)?,
-                until: dur_from(d.require("until_ps")?)?,
-                extra_delay: dur_from(d.require("extra_delay_ps")?)?,
-                loss: d.require("loss")?.as_f64()?,
-            });
-        }
-    }
-    if let Some(stragglers) = v.get("stragglers") {
-        for s in stragglers.as_array()? {
-            spec.stragglers.push(StragglerHost {
-                host: s.require("host")?.as_usize()?,
-                from: dur_from(s.require("from_ps")?)?,
-                until: dur_from(s.require("until_ps")?)?,
-                rate_factor: s.require("rate_factor")?.as_f64()?,
-            });
-        }
-    }
-    Ok(spec)
 }
 
-fn trace_to_json(t: &MeasurementSpec) -> JsonValue {
-    let mut pairs = Vec::new();
-    if let Some(d) = t.queue_sample_interval {
-        pairs.push(("queue_sample_interval_ps", dur_json(d)));
-    }
-    if let Some(h) = t.bottleneck_host {
-        pairs.push(("bottleneck_host", JsonValue::UInt(h as u64)));
-    }
-    if let Some(d) = t.trace_interval {
-        pairs.push(("trace_interval_ps", dur_json(d)));
-    }
-    if let Some(d) = t.goodput_bin {
-        pairs.push(("goodput_bin_ps", dur_json(d)));
-    }
-    obj(pairs)
-}
+json_record! { QueueingSpec {
+    (.., scheduler),
+    ("ecn_scale", ecn_scale, optional),
+} }
 
-fn trace_from_json(v: &JsonValue) -> Result<MeasurementSpec, JsonError> {
-    let mut t = MeasurementSpec::default();
-    if let Some(d) = v.get("queue_sample_interval_ps") {
-        t.queue_sample_interval = Some(dur_from(d)?);
-    }
-    if let Some(h) = v.get("bottleneck_host") {
-        t.bottleneck_host = Some(h.as_usize()?);
-    }
-    if let Some(d) = v.get("trace_interval_ps") {
-        t.trace_interval = Some(dur_from(d)?);
-    }
-    if let Some(d) = v.get("goodput_bin_ps") {
-        t.goodput_bin = Some(dur_from(d)?);
-    }
-    Ok(t)
-}
+json_tagged! { SchedulerSpec, ("kind", "queueing") {
+    "SP" => (SchedulerSpec::StrictPriority { classes }) { ("classes", classes) },
+    "DWRR" => (SchedulerSpec::Dwrr { weights }) { ("weights", weights) },
+    "PIAS" => (SchedulerSpec::Pias { thresholds }) { ("thresholds", thresholds) },
+} }
+
+json_record! { FaultSpec {
+    ("links", link_faults, optional),
+    ("degraded", degraded_links, optional),
+    ("stragglers", stragglers, optional),
+} }
+
+json_record! { LinkFault {
+    ("link", link),
+    ("at_ps", at),
+    ("down_for_ps", down_for),
+    ("flaps", flaps),
+    ("period_ps", period),
+    ("mode", mode),
+} }
+
+json_labels! { LinkDownMode, "link-down mode" {
+    "Drop" => LinkDownMode::Drop,
+    "Pause" => LinkDownMode::Pause,
+} }
+
+json_record! { DegradedLink {
+    ("link", link),
+    ("from_ps", from),
+    ("until_ps", until),
+    ("extra_delay_ps", extra_delay),
+    ("loss", loss),
+} }
+
+json_record! { StragglerHost {
+    ("host", host),
+    ("from_ps", from),
+    ("until_ps", until),
+    ("rate_factor", rate_factor),
+} }
+
+json_labels! { FlowControlMode, "flow control" {
+    "PFC" => FlowControlMode::Lossless,
+    "GBN" => FlowControlMode::LossyGoBackN,
+    "IRN" => FlowControlMode::LossyIrn,
+} }
+
+json_record! { EcnConfig {
+    ("kmin_bytes", kmin_bytes),
+    ("kmax_bytes", kmax_bytes),
+    ("pmax", pmax),
+} }
+
+json_labels! { BackendSpec, "backend" {
+    "packet" => BackendSpec::Packet,
+    "fluid" => BackendSpec::Fluid,
+} }
+
+json_record! { MeasurementSpec {
+    ("queue_sample_interval_ps", queue_sample_interval, optional),
+    ("bottleneck_host", bottleneck_host, optional),
+    ("trace_interval_ps", trace_interval, optional),
+    ("goodput_bin_ps", goodput_bin, optional),
+} }
 
 #[cfg(test)]
 mod tests {
@@ -2181,6 +1669,56 @@ mod tests {
         // A valid multi-class spec resolves and runs.
         let ok = base(QueueingSpec::pias(vec![10_000]));
         assert_eq!(ok.try_build().unwrap().config().queueing.data_classes, 2);
+    }
+
+    #[test]
+    fn out_of_range_integers_are_typed_errors_not_truncations() {
+        let spec = ScenarioSpec::new(
+            "wide",
+            TopologyChoice::star(3, Bandwidth::from_gbps(25)),
+            CcSpec::Hpcc(HpccConfig::default()),
+            Duration::from_ms(1),
+        );
+        let text = spec.to_json_string();
+        let at = |value: &str| {
+            let edited = text.replace("\"max_stage\":5,", &format!("\"max_stage\":{value},"));
+            assert_ne!(edited, text, "the spec must carry max_stage 5");
+            ScenarioSpec::from_json_str(&edited)
+        };
+        // 2^32 + 5 used to decode as 5.
+        let err = at("4294967301").expect_err("max_stage beyond u32 must not decode");
+        assert!(err.0.contains("max_stage"), "{err}");
+        assert!(err.0.contains("out of range"), "{err}");
+        // The largest u32 still round-trips.
+        let widest = at("4294967295").unwrap();
+        match widest.cc {
+            CcSpec::Hpcc(cfg) => assert_eq!(cfg.max_stage, u32::MAX),
+            other => panic!("{other:?}"),
+        }
+        // The other narrowed integers share the same check.
+        let timely = ScenarioSpec::new(
+            "wide",
+            TopologyChoice::star(3, Bandwidth::from_gbps(25)),
+            CcSpec::Timely {
+                window: false,
+                t_low: Duration::from_us(50),
+                t_high: Duration::from_us(500),
+                beta: 0.8,
+                hai_threshold: 5,
+            },
+            Duration::from_ms(1),
+        )
+        .with_queueing(QueueingSpec::strict_priority(2))
+        .to_json_string();
+        for (from, to) in [
+            ("\"hai_threshold\":5", "\"hai_threshold\":4294967296"),
+            ("\"classes\":2", "\"classes\":256"),
+        ] {
+            let edited = timely.replace(from, to);
+            assert_ne!(edited, timely, "{from}");
+            let err = ScenarioSpec::from_json_str(&edited).expect_err(to);
+            assert!(err.0.contains("out of range"), "{to}: {err}");
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! scenario and folded back into a single [`CampaignReport`] by
 //! [`merge_shard_streams`] (the coordinator's checkpoint and `campaign
 //! --merge` replay the same lines). Everything rides on the in-tree
-//! [`crate::json`] module — no external serde.
+//! [`crate::json`] module — no external serde. Each type below is one field
+//! table that derives both its encoder and its decoder, so a key is spelled
+//! once; `simlint` cross-checks the table keys against `docs/WIRE.md`.
 //!
 //! # Line schema
 //!
@@ -19,17 +21,20 @@
 //! * `wall_ns` — the wall-clock time the worker spent on the scenario (the
 //!   only host-dependent field; it lives in the envelope, *outside* the
 //!   canonical result object).
-//! * `result` — the canonical [`ScenarioResult`] object produced by
-//!   [`ScenarioResult::to_json`]: name, scheme, slowdown percentiles
-//!   (overall / short-flow / per-size-bucket), queue percentiles, PFC
-//!   summary, drops, completion, and the FNV digest over the raw simulator
-//!   output. Unsigned integers (digests, byte counts, picosecond durations)
-//!   are emitted as exact JSON integers; floats use shortest-round-trip
-//!   formatting, so decoding and re-encoding is byte-identical.
+//! * `result` — the canonical [`ScenarioResult`] object: name, scheme,
+//!   slowdown percentiles (overall / short-flow / per-size-bucket), queue
+//!   percentiles, PFC summary, drops, completion, and the FNV digest over
+//!   the raw simulator output. Unsigned integers (digests, byte counts,
+//!   picosecond durations) are emitted as exact JSON integers; floats use
+//!   shortest-round-trip formatting, so decoding and re-encoding is
+//!   byte-identical.
+//!
+//! The same envelope ([`ResultLine`]), behind a `"type":"result"` tag, is
+//! the fabric's `result` frame.
 //!
 //! # Determinism contract
 //!
-//! [`ScenarioResult::to_json`] contains *only* deterministic fields — no
+//! The canonical result object contains *only* deterministic fields — no
 //! wall-clock, no thread counts. Consequently
 //! [`CampaignReport::to_json_string`] (a JSON array of canonical results in
 //! scenario order) is a pure function of the campaign: a report merged from
@@ -38,354 +43,207 @@
 //! (or equal [`CampaignReport::digests`]) mean bit-identical runs.
 
 use crate::campaign::{Campaign, CampaignReport, FaultSummary, ScenarioResult};
-use crate::json::{obj, JsonError, JsonValue};
-use crate::scenario::BackendSpec;
+use crate::json::{json_record, json_tagged, Json, JsonError, JsonValue};
 use hpcc_stats::fct::{fb_hadoop_buckets, websearch_buckets, FctBucket, SizeBucketStats};
 use hpcc_stats::pfc::PfcSummary;
 use hpcc_stats::Percentiles;
-use hpcc_types::Duration;
+use std::borrow::Cow;
 
-fn err<T>(msg: impl Into<String>) -> Result<T, JsonError> {
-    Err(JsonError(msg.into()))
+json_record! { Percentiles {
+    ("count", count),
+    ("p50", p50),
+    ("p95", p95),
+    ("p99", p99),
+    ("mean", mean),
+    ("max", max),
+} }
+
+/// The members naming a flow-size bucket.
+struct BucketKey {
+    max_size: u64,
+    label: String,
 }
 
-fn percentiles_to_json(p: &Percentiles) -> JsonValue {
-    obj(vec![
-        ("count", JsonValue::UInt(p.count as u64)),
-        ("p50", JsonValue::Float(p.p50)),
-        ("p95", JsonValue::Float(p.p95)),
-        ("p99", JsonValue::Float(p.p99)),
-        ("mean", JsonValue::Float(p.mean)),
-        ("max", JsonValue::Float(p.max)),
-    ])
-}
+json_record! { BucketKey {
+    ("max_size", max_size),
+    ("label", label),
+} }
 
-fn percentiles_from_json(v: &JsonValue) -> Result<Percentiles, JsonError> {
-    Ok(Percentiles {
-        count: v.require("count")?.as_usize()?,
-        p50: v.require("p50")?.as_f64()?,
-        p95: v.require("p95")?.as_f64()?,
-        p99: v.require("p99")?.as_f64()?,
-        mean: v.require("mean")?.as_f64()?,
-        max: v.require("max")?.as_f64()?,
-    })
-}
+/// A bucket is written as its `max_size` and `label`. Campaign results only
+/// ever use the paper's WebSearch / FB_Hadoop bucket sets, so decoding
+/// resolves the pair against those tables (recovering the `&'static` label)
+/// instead of leaking strings.
+impl Json for FctBucket {
+    fn to_json(&self) -> JsonValue {
+        BucketKey {
+            max_size: self.max_size,
+            label: self.label.to_string(),
+        }
+        .to_json()
+    }
 
-fn opt_percentiles_to_json(p: &Option<Percentiles>) -> JsonValue {
-    match p {
-        Some(p) => percentiles_to_json(p),
-        None => JsonValue::Null,
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let BucketKey { max_size, label } = BucketKey::from_json(v)?;
+        websearch_buckets()
+            .into_iter()
+            .chain(fb_hadoop_buckets())
+            .find(|b| b.max_size == max_size && b.label == label)
+            .ok_or_else(|| {
+                JsonError(format!(
+                    "unknown flow-size bucket ({max_size}, {label:?}); \
+                     not in the WebSearch or FB_Hadoop tables"
+                ))
+            })
     }
 }
 
-fn opt_percentiles_from_json(v: &JsonValue) -> Result<Option<Percentiles>, JsonError> {
-    match v {
-        JsonValue::Null => Ok(None),
-        other => Ok(Some(percentiles_from_json(other)?)),
-    }
-}
+json_record! { SizeBucketStats {
+    (.., bucket),
+    ("stats", stats),
+} }
 
-fn opt_u64_to_json(n: &Option<u64>) -> JsonValue {
-    match n {
-        Some(n) => JsonValue::UInt(*n),
-        None => JsonValue::Null,
-    }
-}
+json_record! { PfcSummary {
+    ("total_pause_ps", total_pause),
+    ("paused_ports", paused_ports),
+    ("total_ports", total_ports),
+    ("elapsed_ps", elapsed),
+    ("pause_frames", pause_frames),
+} }
 
-fn opt_u64_from_json(v: &JsonValue) -> Result<Option<u64>, JsonError> {
-    match v {
-        JsonValue::Null => Ok(None),
-        other => Ok(Some(other.as_u64()?)),
-    }
-}
+json_record! { FaultSummary {
+    ("events", events),
+    ("link_downtime_ps", link_downtime_ps),
+    ("dropped_bytes", dropped_bytes),
+    ("dropped_packets", dropped_packets),
+    ("goodput_during_faults", goodput_during_faults),
+    ("utilization_while_up", utilization_while_up),
+} }
 
-/// Canonical JSON for a backend choice, shared by scenario specs and
-/// result lines: the bare label string. `None` for the default packet
-/// engine — its canonical form is an *omitted* `"backend"` key, keeping
-/// pre-existing manifests bit-identical.
-pub fn backend_to_json(backend: BackendSpec) -> Option<JsonValue> {
-    match backend {
-        BackendSpec::Packet => None,
-        BackendSpec::Fluid => Some(JsonValue::Str(backend.label().to_string())),
-    }
-}
+// One `prio_slowdown` entry: a priority wire code and its percentiles.
+json_record! { (u8, Option<Percentiles>) = (prio, stats) {
+    ("prio", prio),
+    ("stats", stats),
+} }
 
-/// Decode a `"backend"` label via [`BackendSpec::from_label`]. A value that
-/// is not a label string is an unknown backend, named in the error.
-pub fn backend_from_json(v: &JsonValue) -> Result<BackendSpec, JsonError> {
-    match v {
-        JsonValue::Str(label) => BackendSpec::from_label(label),
-        other => err(format!("unknown backend {}", other.render())),
-    }
-}
-
-/// Recover the `&'static` bucket from the known bucket tables. Campaign
-/// results only ever use the paper's WebSearch / FB_Hadoop bucket sets, so
-/// decoding resolves labels against those instead of leaking strings.
-fn known_bucket(max_size: u64, label: &str) -> Option<FctBucket> {
-    websearch_buckets()
-        .into_iter()
-        .chain(fb_hadoop_buckets())
-        .find(|b| b.max_size == max_size && b.label == label)
-}
-
-fn bucket_stats_to_json(b: &SizeBucketStats) -> JsonValue {
-    obj(vec![
-        ("max_size", JsonValue::UInt(b.bucket.max_size)),
-        ("label", JsonValue::Str(b.bucket.label.to_string())),
-        ("stats", opt_percentiles_to_json(&b.stats)),
-    ])
-}
-
-fn bucket_stats_from_json(v: &JsonValue) -> Result<SizeBucketStats, JsonError> {
-    let max_size = v.require("max_size")?.as_u64()?;
-    let label = v.require("label")?.as_str()?;
-    let bucket = known_bucket(max_size, label).ok_or_else(|| {
-        JsonError(format!(
-            "unknown flow-size bucket ({max_size}, {label:?}); \
-             not in the WebSearch or FB_Hadoop tables"
-        ))
-    })?;
-    Ok(SizeBucketStats {
-        bucket,
-        stats: opt_percentiles_from_json(v.require("stats")?)?,
-    })
-}
-
-fn pfc_to_json(p: &PfcSummary) -> JsonValue {
-    obj(vec![
-        ("total_pause_ps", JsonValue::UInt(p.total_pause.as_ps())),
-        ("paused_ports", JsonValue::UInt(p.paused_ports as u64)),
-        ("total_ports", JsonValue::UInt(p.total_ports as u64)),
-        ("elapsed_ps", JsonValue::UInt(p.elapsed.as_ps())),
-        ("pause_frames", JsonValue::UInt(p.pause_frames)),
-    ])
-}
-
-fn pfc_from_json(v: &JsonValue) -> Result<PfcSummary, JsonError> {
-    Ok(PfcSummary {
-        total_pause: Duration::from_ps(v.require("total_pause_ps")?.as_u64()?),
-        paused_ports: v.require("paused_ports")?.as_usize()?,
-        total_ports: v.require("total_ports")?.as_usize()?,
-        elapsed: Duration::from_ps(v.require("elapsed_ps")?.as_u64()?),
-        pause_frames: v.require("pause_frames")?.as_u64()?,
-    })
-}
+// The canonical result object: every deterministic field (summary metrics
+// and digest), and nothing host-dependent — no wall time, no raw simulator
+// output; a decoded result carries neither. The multi-class, fault and
+// backend keys are optional, so single-class, fault-free packet results
+// render byte-identical to the wire format that predates them. See the
+// module docs for the determinism contract this buys.
+json_record! { ScenarioResult {
+    ("name", name),
+    ("scheme", scheme),
+    ("slowdown", slowdown),
+    ("short_flow_slowdown", short_flow_slowdown),
+    ("slowdown_buckets", slowdown_buckets),
+    ("queue_p50", queue_p50),
+    ("queue_p95", queue_p95),
+    ("queue_p99", queue_p99),
+    ("max_queue_bytes", max_queue_bytes),
+    ("pfc", pfc),
+    ("drops", drops),
+    ("completion", completion),
+    ("flows_completed", flows_completed),
+    ("prio_slowdown", prio_slowdown, optional),
+    ("class_queue_p99", class_queue_p99, optional),
+    ("faults", faults, optional),
+    ("backend", backend, optional),
+    ("digest", digest),
+} skip {
+    wall: std::time::Duration::ZERO,
+    results: None,
+} }
 
 impl ScenarioResult {
-    /// The canonical JSON object of this result: every deterministic field
-    /// (summary metrics and digest), and nothing host-dependent — no wall
-    /// time, no raw simulator output. See the [module docs](self) for the
-    /// determinism contract this buys.
+    /// The canonical result object, callable without [`Json`] in scope.
     pub fn to_json(&self) -> JsonValue {
-        let mut fields = vec![
-            ("name", JsonValue::Str(self.name.clone())),
-            ("scheme", JsonValue::Str(self.scheme.clone())),
-            ("slowdown", opt_percentiles_to_json(&self.slowdown)),
-            (
-                "short_flow_slowdown",
-                opt_percentiles_to_json(&self.short_flow_slowdown),
-            ),
-            (
-                "slowdown_buckets",
-                JsonValue::Array(
-                    self.slowdown_buckets
-                        .iter()
-                        .map(bucket_stats_to_json)
-                        .collect(),
-                ),
-            ),
-            ("queue_p50", opt_u64_to_json(&self.queue_p50)),
-            ("queue_p95", opt_u64_to_json(&self.queue_p95)),
-            ("queue_p99", opt_u64_to_json(&self.queue_p99)),
-            ("max_queue_bytes", JsonValue::UInt(self.max_queue_bytes)),
-            ("pfc", pfc_to_json(&self.pfc)),
-            ("drops", JsonValue::UInt(self.drops)),
-            ("completion", JsonValue::Float(self.completion)),
-            (
-                "flows_completed",
-                JsonValue::UInt(self.flows_completed as u64),
-            ),
-        ];
-        // Multi-class scheduling extensions (additive, optional): emitted
-        // only when populated, so single-class results render byte-identical
-        // to the pre-scheduling wire format and old decoders keep working.
-        if !self.prio_slowdown.is_empty() {
-            fields.push((
-                "prio_slowdown",
-                JsonValue::Array(
-                    self.prio_slowdown
-                        .iter()
-                        .map(|(code, stats)| {
-                            obj(vec![
-                                ("prio", JsonValue::UInt(*code as u64)),
-                                ("stats", opt_percentiles_to_json(stats)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-        }
-        if !self.class_queue_p99.is_empty() {
-            fields.push((
-                "class_queue_p99",
-                JsonValue::Array(self.class_queue_p99.iter().map(opt_u64_to_json).collect()),
-            ));
-        }
-        // Fault-injection summary (additive, optional): present only when a
-        // fault timeline actually fired, so fault-free results render
-        // byte-identical to the pre-fault wire format.
-        if let Some(f) = &self.faults {
-            fields.push((
-                "faults",
-                obj(vec![
-                    ("events", JsonValue::UInt(f.events)),
-                    ("link_downtime_ps", JsonValue::UInt(f.link_downtime_ps)),
-                    ("dropped_bytes", JsonValue::UInt(f.dropped_bytes)),
-                    ("dropped_packets", JsonValue::UInt(f.dropped_packets)),
-                    (
-                        "goodput_during_faults",
-                        JsonValue::UInt(f.goodput_during_faults),
-                    ),
-                    (
-                        "utilization_while_up",
-                        JsonValue::Float(f.utilization_while_up),
-                    ),
-                ]),
-            ));
-        }
-        // Backend marker (additive, optional): present only when the result
-        // came from a non-default engine, so packet results render
-        // byte-identical to the pre-boundary wire format.
-        if let Some(b) = backend_to_json(self.backend) {
-            fields.push(("backend", b));
-        }
-        fields.push(("digest", JsonValue::UInt(self.digest)));
-        obj(fields)
-    }
-
-    /// Decode a canonical result object. The decoded result carries no raw
-    /// simulator output (`results: None`) and no wall time (`wall` is zero
-    /// until an envelope supplies the worker's measurement).
-    pub fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let mut buckets = Vec::new();
-        for b in v.require("slowdown_buckets")?.as_array()? {
-            buckets.push(bucket_stats_from_json(b)?);
-        }
-        // Optional multi-class fields: absent on (and before) the
-        // single-class wire format, which must keep decoding.
-        let mut prio_slowdown = Vec::new();
-        if let Some(rows) = v.get("prio_slowdown") {
-            for row in rows.as_array()? {
-                let code = row.require("prio")?.as_u64()?;
-                if code > u8::MAX as u64 {
-                    return Err(JsonError(format!("priority code {code} out of range")));
-                }
-                prio_slowdown.push((
-                    code as u8,
-                    opt_percentiles_from_json(row.require("stats")?)?,
-                ));
-            }
-        }
-        let mut class_queue_p99 = Vec::new();
-        if let Some(rows) = v.get("class_queue_p99") {
-            for row in rows.as_array()? {
-                class_queue_p99.push(opt_u64_from_json(row)?);
-            }
-        }
-        let faults = match v.get("faults") {
-            Some(f) => Some(FaultSummary {
-                events: f.require("events")?.as_u64()?,
-                link_downtime_ps: f.require("link_downtime_ps")?.as_u64()?,
-                dropped_bytes: f.require("dropped_bytes")?.as_u64()?,
-                dropped_packets: f.require("dropped_packets")?.as_u64()?,
-                goodput_during_faults: f.require("goodput_during_faults")?.as_u64()?,
-                utilization_while_up: f.require("utilization_while_up")?.as_f64()?,
-            }),
-            None => None,
-        };
-        Ok(ScenarioResult {
-            name: v.require("name")?.as_str()?.to_string(),
-            scheme: v.require("scheme")?.as_str()?.to_string(),
-            slowdown: opt_percentiles_from_json(v.require("slowdown")?)?,
-            short_flow_slowdown: opt_percentiles_from_json(v.require("short_flow_slowdown")?)?,
-            slowdown_buckets: buckets,
-            queue_p50: opt_u64_from_json(v.require("queue_p50")?)?,
-            queue_p95: opt_u64_from_json(v.require("queue_p95")?)?,
-            queue_p99: opt_u64_from_json(v.require("queue_p99")?)?,
-            max_queue_bytes: v.require("max_queue_bytes")?.as_u64()?,
-            pfc: pfc_from_json(v.require("pfc")?)?,
-            drops: v.require("drops")?.as_u64()?,
-            completion: v.require("completion")?.as_f64()?,
-            flows_completed: v.require("flows_completed")?.as_usize()?,
-            prio_slowdown,
-            class_queue_p99,
-            faults,
-            backend: match v.get("backend") {
-                Some(b) => backend_from_json(b)?,
-                None => BackendSpec::Packet,
-            },
-            digest: v.require("digest")?.as_u64()?,
-            wall: std::time::Duration::ZERO,
-            results: None,
-        })
+        Json::to_json(self)
     }
 }
 
-impl CampaignReport {
-    /// The canonical JSON of the whole report: a JSON array of canonical
-    /// per-scenario objects in scenario order. Wall times and thread counts
-    /// are deliberately excluded, so equal strings ⇔ bit-identical campaign
-    /// outcomes, no matter how (or where) the campaign ran.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::Array(self.results.iter().map(|r| r.to_json()).collect())
+/// The canonical JSON of a whole report: a JSON array of canonical
+/// per-scenario objects in scenario order. Wall times and thread counts are
+/// deliberately excluded, so equal strings ⇔ bit-identical campaign
+/// outcomes, no matter how (or where) the campaign ran. A decoded report
+/// has zero wall times and `threads` 1.
+impl Json for CampaignReport {
+    fn to_json(&self) -> JsonValue {
+        self.results.to_json()
     }
 
-    /// [`CampaignReport::to_json`], rendered to a compact string.
-    pub fn to_json_string(&self) -> String {
-        self.to_json().render()
-    }
-
-    /// Decode a canonical report (the output of
-    /// [`CampaignReport::to_json_string`]). Wall times are zero and
-    /// `threads` is recorded as 1 — neither crosses the wire.
-    pub fn from_json_str(text: &str) -> Result<Self, JsonError> {
-        let doc = JsonValue::parse(text)?;
-        let mut results = Vec::new();
-        for item in doc.as_array()? {
-            results.push(ScenarioResult::from_json(item)?);
-        }
+    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
         Ok(CampaignReport {
-            results,
+            results: Json::from_json(v)?,
             wall: std::time::Duration::ZERO,
             threads: 1,
         })
     }
 }
 
+impl CampaignReport {
+    /// The canonical JSON of the report, rendered to a compact string.
+    pub fn to_json_string(&self) -> String {
+        self.to_json().render()
+    }
+
+    /// Decode a canonical report (the output of
+    /// [`CampaignReport::to_json_string`]).
+    pub fn from_json_str(text: &str) -> Result<Self, JsonError> {
+        CampaignReport::from_json(&JsonValue::parse(text)?)
+    }
+}
+
+/// One completed scenario on the wire: the envelope of a JSONL result line
+/// and, behind a `"type":"result"` tag, of a fabric `result` frame.
+#[derive(Clone)]
+pub struct ResultLine<'a> {
+    /// The scenario's position in the campaign.
+    index: usize,
+    /// The wall time the worker spent on the scenario: host-dependent, so
+    /// it rides here, outside the canonical result object.
+    wall: std::time::Duration,
+    /// The completed result.
+    result: Cow<'a, ScenarioResult>,
+}
+
+json_record! { ResultLine<'_> {
+    ("index", index),
+    ("wall_ns", wall),
+    ("result", result),
+} }
+
+impl<'a> ResultLine<'a> {
+    /// Wrap a completed result, taking the envelope's wall time from it.
+    pub fn new(index: usize, result: Cow<'a, ScenarioResult>) -> Self {
+        ResultLine {
+            index,
+            wall: result.wall,
+            result,
+        }
+    }
+
+    /// The scenario index and the owned result, its `wall` restored from
+    /// the envelope.
+    pub fn into_entry(self) -> (usize, ScenarioResult) {
+        let mut result = self.result.into_owned();
+        result.wall = self.wall;
+        (self.index, result)
+    }
+}
+
 /// Encode one completed scenario as a JSONL line (without the trailing
-/// newline): the envelope carries the scenario `index` and the worker's
-/// `wall_ns`; the canonical result object rides in `result`.
+/// newline): a [`ResultLine`] envelope.
 pub fn encode_result_line(index: usize, result: &ScenarioResult) -> String {
-    obj(vec![
-        ("index", JsonValue::UInt(index as u64)),
-        (
-            "wall_ns",
-            JsonValue::UInt(result.wall.as_nanos().min(u64::MAX as u128) as u64),
-        ),
-        ("result", result.to_json()),
-    ])
-    .render()
+    ResultLine::new(index, Cow::Borrowed(result))
+        .to_json()
+        .render()
 }
 
 /// Decode one JSONL line into `(scenario index, result)`. The envelope's
 /// `wall_ns` is restored onto the result.
 pub fn decode_result_line(line: &str) -> Result<(usize, ScenarioResult), JsonError> {
-    let v = JsonValue::parse(line)?;
-    let index = v.require("index")?.as_usize()?;
-    let mut result = ScenarioResult::from_json(v.require("result")?)?;
-    result.wall = std::time::Duration::from_nanos(v.require("wall_ns")?.as_u64()?);
-    Ok((index, result))
+    ResultLine::from_json(&JsonValue::parse(line)?).map(ResultLine::into_entry)
 }
 
 /// A typed error from the stream decode / merge paths, so callers (and
@@ -582,15 +440,9 @@ pub enum FabricMsg {
         /// Ascending scenario indices of this lease.
         indices: Vec<usize>,
     },
-    /// Worker → coordinator: one completed scenario, using the standard
-    /// result-line envelope members plus the `type` tag.
-    Result {
-        /// The scenario's position in the campaign.
-        index: usize,
-        /// The completed result (its `wall` rides the envelope's
-        /// `wall_ns`, outside the canonical object).
-        result: Box<ScenarioResult>,
-    },
+    /// Worker → coordinator: one completed scenario, as the result-line
+    /// envelope plus the `type` tag.
+    Result(Box<ResultLine<'static>>),
     /// Worker → coordinator: liveness signal between results.
     Heartbeat {
         /// Scenarios this worker has completed so far.
@@ -600,76 +452,14 @@ pub enum FabricMsg {
     Bye,
 }
 
-impl FabricMsg {
-    /// The canonical JSON object of this message.
-    pub fn to_json(&self) -> JsonValue {
-        match self {
-            FabricMsg::Hello { worker } => obj(vec![
-                ("type", JsonValue::Str("hello".to_string())),
-                ("worker", JsonValue::Str(worker.clone())),
-            ]),
-            FabricMsg::Manifest { campaign } => obj(vec![
-                ("type", JsonValue::Str("manifest".to_string())),
-                ("campaign", campaign.to_json()),
-            ]),
-            FabricMsg::Lease { indices } => obj(vec![
-                ("type", JsonValue::Str("lease".to_string())),
-                (
-                    "indices",
-                    JsonValue::Array(indices.iter().map(|&i| JsonValue::UInt(i as u64)).collect()),
-                ),
-            ]),
-            FabricMsg::Result { index, result } => obj(vec![
-                ("type", JsonValue::Str("result".to_string())),
-                ("index", JsonValue::UInt(*index as u64)),
-                (
-                    "wall_ns",
-                    JsonValue::UInt(result.wall.as_nanos().min(u64::MAX as u128) as u64),
-                ),
-                ("result", result.to_json()),
-            ]),
-            FabricMsg::Heartbeat { executed } => obj(vec![
-                ("type", JsonValue::Str("heartbeat".to_string())),
-                ("executed", JsonValue::UInt(*executed)),
-            ]),
-            FabricMsg::Bye => obj(vec![("type", JsonValue::Str("bye".to_string()))]),
-        }
-    }
-
-    /// Decode a fabric message object (the inverse of
-    /// [`FabricMsg::to_json`]).
-    pub fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        match v.require("type")?.as_str()? {
-            "hello" => Ok(FabricMsg::Hello {
-                worker: v.require("worker")?.as_str()?.to_string(),
-            }),
-            "manifest" => Ok(FabricMsg::Manifest {
-                campaign: Campaign::from_json(v.require("campaign")?)?,
-            }),
-            "lease" => {
-                let mut indices = Vec::new();
-                for item in v.require("indices")?.as_array()? {
-                    indices.push(item.as_usize()?);
-                }
-                Ok(FabricMsg::Lease { indices })
-            }
-            "result" => {
-                let index = v.require("index")?.as_usize()?;
-                let mut result = ScenarioResult::from_json(v.require("result")?)?;
-                result.wall = std::time::Duration::from_nanos(v.require("wall_ns")?.as_u64()?);
-                Ok(FabricMsg::Result {
-                    index,
-                    result: Box::new(result),
-                })
-            }
-            "heartbeat" => Ok(FabricMsg::Heartbeat {
-                executed: v.require("executed")?.as_u64()?,
-            }),
-            "bye" => Ok(FabricMsg::Bye),
-            other => err(format!("unknown fabric message type {other}")),
-        }
-    }
-}
+json_tagged! { FabricMsg, ("type", "fabric message") {
+    "hello" => (FabricMsg::Hello { worker }) { ("worker", worker) },
+    "manifest" => (FabricMsg::Manifest { campaign }) { ("campaign", campaign) },
+    "lease" => (FabricMsg::Lease { indices }) { ("indices", indices) },
+    "result" => (FabricMsg::Result(line)) { (.., line) },
+    "heartbeat" => (FabricMsg::Heartbeat { executed }) { ("executed", executed) },
+    "bye" => (FabricMsg::Bye) {},
+} }
 
 /// Write one length-framed fabric message and flush it, so the peer sees
 /// the frame immediately: a decimal byte-length line, the message's
@@ -731,6 +521,8 @@ fn bad_frame(msg: impl Into<String>) -> std::io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::BackendSpec;
+    use hpcc_types::Duration;
 
     /// A hand-built result exercising every field shape: present and absent
     /// percentiles, both bucket tables, extreme integers.
@@ -879,7 +671,7 @@ mod tests {
         for bucket in websearch_buckets().into_iter().chain(fb_hadoop_buckets()) {
             for stats in [None, Percentiles::of(&[1.0, 4.0])] {
                 let row = SizeBucketStats { bucket, stats };
-                let back = bucket_stats_from_json(&bucket_stats_to_json(&row)).unwrap();
+                let back = SizeBucketStats::from_json(&row.to_json()).unwrap();
                 assert_eq!(back.bucket, bucket);
                 assert_eq!(back.stats, stats);
             }
@@ -989,10 +781,7 @@ mod tests {
             FabricMsg::Lease {
                 indices: vec![0, 1],
             },
-            FabricMsg::Result {
-                index: 1,
-                result: Box::new(synthetic("b", 42)),
-            },
+            FabricMsg::Result(Box::new(ResultLine::new(1, Cow::Owned(synthetic("b", 42))))),
             FabricMsg::Heartbeat { executed: 7 },
             FabricMsg::Bye,
         ];
@@ -1013,8 +802,9 @@ mod tests {
                 assert_eq!(got.to_json_string(), orig.to_json_string());
             }
             // The result envelope restores the worker's wall time.
-            if let FabricMsg::Result { index, result } = &back {
-                assert_eq!(*index, 1);
+            if let FabricMsg::Result(line) = &back {
+                let (index, result) = (*line.clone()).into_entry();
+                assert_eq!(index, 1);
                 assert_eq!(result.wall, synthetic("b", 42).wall);
                 assert_eq!(result.digest, 42);
             }

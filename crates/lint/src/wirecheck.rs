@@ -7,10 +7,11 @@
 //! mentions — or a documented key the encoder dropped — fails the build
 //! instead of drifting silently.
 //!
-//! * From the **source**, keys are string literals in key position:
-//!   `("key", …)` pairs fed to the JSON object builder and
-//!   `.require("key")` / `.get("key")` decode lookups (test modules are
-//!   skipped).
+//! * From the **source**, keys are string literals in key position: the
+//!   `("key", …)` rows of the field tables that derive both the encoder
+//!   and the decoder of each wire type (the `type` tag of fabric messages
+//!   is written the same way), plus any `.require("key")` / `.get("key")`
+//!   lookup (test modules are skipped).
 //! * From the **doc**, keys are `"key":` members inside fenced ```json
 //!   blocks, `"key":` members inside inline code spans that contain an
 //!   object brace, and backticked identifiers in the *first cell* of

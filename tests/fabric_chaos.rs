@@ -194,6 +194,67 @@ fn malformed_peers_are_dropped_and_do_not_disturb_the_run() {
     }
 }
 
+/// A slowloris peer sends a hello frame one byte per 100 ms — every read
+/// succeeds well inside the 400 ms lease timeout, so only a deadline on the
+/// whole frame can end it. The coordinator must close it within a small
+/// multiple of the lease timeout while a real worker completes the
+/// campaign bit-identically to `run_serial()`.
+#[test]
+fn a_peer_trickling_its_hello_is_closed_at_the_lease_timeout() {
+    let campaign = fabric_smoke_campaign();
+    let serial = campaign.run_serial();
+    let coordinator = Coordinator::bind("127.0.0.1:0").expect("cannot bind");
+    let addr = coordinator.local_addr().expect("bound address").to_string();
+    let lease_timeout = Duration::from_millis(400);
+    let cfg = FabricConfig {
+        lease_timeout,
+        ..FabricConfig::default()
+    };
+    let mut peer = TcpStream::connect(&addr).expect("cannot connect");
+    let trickler = std::thread::spawn(move || {
+        let started = Instant::now();
+        peer.set_read_timeout(Some(Duration::from_millis(100)))
+            .expect("cannot set read timeout");
+        // A valid length header, then a payload that never completes.
+        let frame = b"4096\n{\"type\":\"hello\",\"worker\":\"slowloris";
+        let mut buf = [0u8; 64];
+        for &byte in frame.iter().cycle() {
+            if peer.write_all(&[byte]).is_err() {
+                return started.elapsed();
+            }
+            match peer.read(&mut buf) {
+                Ok(0) => return started.elapsed(),
+                Err(e)
+                    if !matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    return started.elapsed();
+                }
+                _ => {}
+            }
+            if started.elapsed() > Duration::from_secs(10) {
+                return started.elapsed();
+            }
+        }
+        unreachable!("the frame cycles forever")
+    });
+    let mut worker = spawn_worker(&addr, "w0", None, None);
+    let fab = coordinator
+        .serve(&campaign, &cfg)
+        .expect("fabric serve failed");
+    assert!(worker.wait().expect("worker did not exit").success());
+    assert_eq!(fab.report.digests(), serial.digests());
+    assert_eq!(fab.report.to_json_string(), serial.to_json_string());
+
+    let held = trickler.join().expect("trickling peer panicked");
+    assert!(
+        held < 4 * lease_timeout,
+        "a trickling peer held its connection for {held:?} (lease timeout {lease_timeout:?})"
+    );
+}
+
 #[test]
 fn fabric_survives_worker_death_and_restart_resumes_from_checkpoint() {
     let campaign = fabric_smoke_campaign();
